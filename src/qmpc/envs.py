@@ -153,10 +153,11 @@ def cstr_rhs(params: dict, s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def cstr_rhs_jac(params: dict, s: np.ndarray, a: np.ndarray):
-    """Jacobians (d rhs/d state (4,4), d rhs/d input (4,2)) at one point."""
+    """Jacobians (d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2));
+    broadcasts over leading batch axes like :func:`cstr_rhs`."""
     p = params
-    c_A, c_B, T_R, T_K = s
-    F = a[0]
+    c_A, c_B, T_R = s[..., 0], s[..., 1], s[..., 2]
+    F = a[..., 0]
     theta = T_R + 273.15
     k1 = p["K0_ab"] * np.exp(-p["E_A_ab"] / theta)
     k2 = p["K0_bc"] * np.exp(-p["E_A_bc"] / theta)
@@ -167,27 +168,28 @@ def cstr_rhs_jac(params: dict, s: np.ndarray, a: np.ndarray):
     rcp = p["rho"] * p["Cp"]
     kwr = p["K_w"] * p["A_R"] / (rcp * p["V_R"])
     kwk = p["K_w"] * p["A_R"] / (p["m_k"] * p["Cp_k"])
-    Jx = np.zeros((4, 4))
-    Jx[0, 0] = -F - k1 - 2.0 * k3 * c_A
-    Jx[0, 2] = -(dk1 * c_A + dk3 * c_A**2)
-    Jx[1, 0] = k1
-    Jx[1, 1] = -F - k2
-    Jx[1, 2] = dk1 * c_A - dk2 * c_B
-    Jx[2, 0] = (k1 * p["H_R_ab"] + 2.0 * k3 * c_A * p["H_R_ad"]) / (-rcp)
-    Jx[2, 1] = k2 * p["H_R_bc"] / (-rcp)
-    Jx[2, 2] = (
+    batch = np.broadcast_shapes(s.shape[:-1], a.shape[:-1])
+    Jx = np.zeros(batch + (4, 4))
+    Jx[..., 0, 0] = -F - k1 - 2.0 * k3 * c_A
+    Jx[..., 0, 2] = -(dk1 * c_A + dk3 * c_A**2)
+    Jx[..., 1, 0] = k1
+    Jx[..., 1, 1] = -F - k2
+    Jx[..., 1, 2] = dk1 * c_A - dk2 * c_B
+    Jx[..., 2, 0] = (k1 * p["H_R_ab"] + 2.0 * k3 * c_A * p["H_R_ad"]) / (-rcp)
+    Jx[..., 2, 1] = k2 * p["H_R_bc"] / (-rcp)
+    Jx[..., 2, 2] = (
         (dk1 * c_A * p["H_R_ab"] + dk2 * c_B * p["H_R_bc"] + dk3 * c_A**2 * p["H_R_ad"]) / (-rcp)
         - F
         - kwr
     )
-    Jx[2, 3] = kwr
-    Jx[3, 2] = kwk
-    Jx[3, 3] = -kwk
-    Ju = np.zeros((4, 2))
-    Ju[0, 0] = p["C_A0"] - c_A
-    Ju[1, 0] = -c_B
-    Ju[2, 0] = p["T_in"] - T_R
-    Ju[3, 1] = 1.0 / (p["m_k"] * p["Cp_k"])
+    Jx[..., 2, 3] = kwr
+    Jx[..., 3, 2] = kwk
+    Jx[..., 3, 3] = -kwk
+    Ju = np.zeros(batch + (4, 2))
+    Ju[..., 0, 0] = p["C_A0"] - c_A
+    Ju[..., 1, 0] = -c_B
+    Ju[..., 2, 0] = p["T_in"] - T_R
+    Ju[..., 3, 1] = 1.0 / (p["m_k"] * p["Cp_k"])
     return Jx, Ju
 
 
@@ -209,12 +211,18 @@ def cstr_discrete(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
-    """Jacobians of the dt-map by chaining RK4 stage derivatives."""
+    """State after one control interval and its Jacobians, from one RK4 pass.
+
+    Returns (x_next (..., 4), d x_next/d s (..., 4, 4), d x_next/d a (..., 4, 2)),
+    chaining the RK4 stage derivatives; broadcasts over leading batch axes.
+    x_next equals :func:`cstr_discrete` bit for bit.
+    """
     h = cfg.dt / cfg.substeps
     p = cfg.ode_params
     x = np.asarray(s, dtype=float)
-    Jx_tot = np.eye(4)
-    Ju_tot = np.zeros((4, 2))
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(4)
+    Jx_tot, Ju_tot = eye, np.zeros((4, 2))  # the batch axes arrive via Sx
     for _ in range(cfg.substeps):
         k1 = cstr_rhs(p, x, a)
         x2 = x + 0.5 * h * k1
@@ -229,18 +237,18 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
         A4, B4 = cstr_rhs_jac(p, x4, a)
         # stagewise chain rule for dk_i/dx and dk_i/du
         D1x, D1u = A1, B1
-        D2x = A2 @ (np.eye(4) + 0.5 * h * D1x)
+        D2x = A2 @ (eye + 0.5 * h * D1x)
         D2u = B2 + A2 @ (0.5 * h * D1u)
-        D3x = A3 @ (np.eye(4) + 0.5 * h * D2x)
+        D3x = A3 @ (eye + 0.5 * h * D2x)
         D3u = B3 + A3 @ (0.5 * h * D2u)
-        D4x = A4 @ (np.eye(4) + h * D3x)
+        D4x = A4 @ (eye + h * D3x)
         D4u = B4 + A4 @ (h * D3u)
-        Sx = np.eye(4) + (h / 6.0) * (D1x + 2 * D2x + 2 * D3x + D4x)
+        Sx = eye + (h / 6.0) * (D1x + 2 * D2x + 2 * D3x + D4x)
         Su = (h / 6.0) * (D1u + 2 * D2u + 2 * D3u + D4u)
         Ju_tot = Sx @ Ju_tot + Su
         Jx_tot = Sx @ Jx_tot
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Jx_tot, Ju_tot
+    return x, Jx_tot, Ju_tot
 
 
 def cstr_step(

@@ -26,7 +26,7 @@ from .envs import (
     cstr_discrete,
     constraint_violation_count,
 )
-from .errors import DimensionError, QmpcError
+from .errors import DimensionError, NonConvergenceError, QmpcError
 from .mdp import TabularMDP, episode_rng, estimate_J, rollout
 from .ocp import build_lq_ocp, lq_matrices
 from .rl import (
@@ -282,6 +282,11 @@ def run_lq_reinforce(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     for r in ok_rows:
         if r.J_hat is not None:
             by_ep.setdefault(r.episode_index, []).append(r.J_hat)
+    if not by_ep:
+        raise NonConvergenceError(
+            f"all {cfg.repetitions} repetitions flagged: more than 10% of their "
+            "learner iterations failed"
+        )
     first_ep, last_ep = min(by_ep), max(by_ep)
     J0_mean = float(np.mean(by_ep[first_ep]))
     Jf_mean = float(np.mean(by_ep[last_ep]))
@@ -309,10 +314,6 @@ def run_lq_reinforce(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 # CSTR value-function MPC study
 
 
-def _batch_values(vmodel: ValueModel, states: np.ndarray) -> np.ndarray:
-    return np.array([vmodel.value(s) for s in states])
-
-
 def _action_grid(cfg: CSTRConfig, points: int) -> np.ndarray:
     axes = [np.linspace(cfg.input_lo[i], cfg.input_hi[i], points) for i in range(2)]
     return np.array(list(itertools.product(*axes)))
@@ -331,7 +332,7 @@ def greedy_value_action(
     The tracking term of the reward does not depend on the action, so only the
     move penalty and the successor value discriminate."""
     nxt = cstr_discrete(cfg, np.broadcast_to(s, (grid.shape[0], 4)), grid)
-    vals = _batch_values(vmodel, nxt)
+    vals = vmodel.value(nxt)
     move = np.sum(cfg.w_move * (grid - a_prev) ** 2, axis=1)
     scores = -move + gamma * vals
     return grid[int(np.argmax(scores))]

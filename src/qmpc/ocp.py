@@ -95,7 +95,15 @@ class ParameterVector:
 class OCPSpec:
     """Immutable description of a parametric OCP; callbacks must be pure.
 
-    Derivative callbacks return, for p = phi.size:
+    The two dynamics callbacks are batched: they take states X (..., n) and
+    inputs U (..., m) with broadcast-compatible leading axes, so the solver
+    evaluates all H stages in one call.
+      dynamics        -> F (..., n), the successor states f(X, U, phi)
+      dynamics_jac    -> (F (..., n), f_x (..., n, n), f_u (..., n, m)), all
+          from one evaluation of the model; its F equals dynamics(X, U, phi)
+
+    Every other callback takes one stage (x (n,), u (m,)).  Derivative
+    callbacks return, for p = phi.size:
       stage_grad      -> (l_x (n,), l_u (m,))
       stage_hess      -> (l_xx (n,n), l_xu (n,m), l_uu (m,m))
       stage_phi       -> dl/dphi (p,)
@@ -104,7 +112,6 @@ class OCPSpec:
       terminal_hess   -> V_xx (n,n)
       terminal_phi    -> dV/dphi (p,)
       terminal_grad_phi -> d V_x/dphi (n,p)
-      dynamics_jac    -> (f_x (n,n), f_u (n,m))
       dynamics_phi    -> df/dphi (n,p)
       dynamics_jac_phi_vp(x,u,phi,lam) -> (d(f_x'lam)/dphi (n,p), d(f_u'lam)/dphi (m,p))
       dynamics_hess_vp(x,u,phi,lam) -> (n+m, n+m) sum_i lam_i * hess f_i,
@@ -296,12 +303,16 @@ def build_lq_ocp(
         return out
 
     def dynamics(x, u, pv):
-        Am, Bm = mats(pv)[0], mats(pv)[1]
-        return Am @ x + Bm @ u
+        Am, Bm = mats(pv)[:2]
+        # one matrix-vector product per stage: each row rounds exactly as
+        # A @ x + B @ u does for one stage, where x @ A.T would not
+        return (Am @ x[..., None])[..., 0] + (Bm @ u[..., None])[..., 0]
 
     def dynamics_jac(x, u, pv):
-        Am, Bm = mats(pv)[0], mats(pv)[1]
-        return Am.copy(), Bm.copy()
+        Am, Bm = mats(pv)[:2]
+        F = dynamics(x, u, pv)
+        batch = F.shape[:-1]
+        return F, np.broadcast_to(Am, batch + (n, n)), np.broadcast_to(Bm, batch + (n, m))
 
     def dynamics_phi(x, u, pv):
         out = np.zeros((n, p))
@@ -472,8 +483,10 @@ def validate_spec(
 
     Probes a handful of random points; every first derivative (in x, u, and
     phi) is compared against central differences of its parent callback at
-    relative tolerance 1e-4.  Returns human-readable findings; empty means the
-    spec passed.
+    relative tolerance 1e-4.  The state returned by ``dynamics_jac`` must equal
+    ``dynamics``, and both dynamics callbacks, given all probe points as one
+    batch, must return the per-point results (relative tolerance 1e-12).
+    Returns human-readable findings; empty means the spec passed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     findings: list[str] = []
@@ -488,9 +501,8 @@ def validate_spec(
         elif dev > FD_REL_TOL:
             findings.append(f"{name}: max relative deviation {dev:.2e} vs finite differences")
 
-    for _ in range(3):
-        x = rng.normal(size=n)
-        u = rng.normal(size=m)
+    points = [(rng.normal(size=n), rng.normal(size=m)) for _ in range(3)]
+    for x, u in points:
         lx, lu = spec.stage_grad(x, u, phi)
         check("stage_grad[x]", lx, _fd_grad(lambda v: spec.stage_cost(v, u, phi), x))
         check("stage_grad[u]", lu, _fd_grad(lambda v: spec.stage_cost(x, v, phi), u))
@@ -528,7 +540,9 @@ def validate_spec(
             spec.terminal_grad_phi(x, phi),
             _fd_jac(lambda v: spec.terminal_grad(x, phi.with_vector(v)), phi.phi),
         )
-        fx, fu = spec.dynamics_jac(x, u, phi)
+        f, fx, fu = spec.dynamics_jac(x, u, phi)
+        if _rel_dev(f, spec.dynamics(x, u, phi)) > 1e-12:
+            findings.append("dynamics_jac[F]: differs from dynamics")
         check("dynamics_jac[x]", fx, _fd_jac(lambda v: spec.dynamics(v, u, phi), x))
         check("dynamics_jac[u]", fu, _fd_jac(lambda v: spec.dynamics(x, v, phi), u))
         check(
@@ -542,14 +556,14 @@ def validate_spec(
             "dynamics_jac_phi_vp[x]",
             djx,
             _fd_jac(
-                lambda v: spec.dynamics_jac(x, u, phi.with_vector(v))[0].T @ lam, phi.phi
+                lambda v: spec.dynamics_jac(x, u, phi.with_vector(v))[1].T @ lam, phi.phi
             ),
         )
         check(
             "dynamics_jac_phi_vp[u]",
             dju,
             _fd_jac(
-                lambda v: spec.dynamics_jac(x, u, phi.with_vector(v))[1].T @ lam, phi.phi
+                lambda v: spec.dynamics_jac(x, u, phi.with_vector(v))[2].T @ lam, phi.phi
             ),
         )
         if spec.dynamics_hess_vp is not None:
@@ -582,7 +596,17 @@ def validate_spec(
                 spec.eq_phi(x, u, phi),
                 _fd_jac(lambda v: spec.eq_constraints(x, u, phi.with_vector(v)), phi.phi),
             )
-    if spec.dynamics_hess_vp is None:
-        # Not an error: the solver falls back to a Gauss-Newton Hessian.
-        pass
+
+    X = np.stack([x for x, _ in points])
+    U = np.stack([u for _, u in points])
+    single = [spec.dynamics_jac(x, u, phi) for x, u in points]
+    try:
+        batched = (spec.dynamics(X, U, phi),) + tuple(spec.dynamics_jac(X, U, phi))
+    except (ValueError, IndexError) as exc:
+        findings.append(f"dynamics: batched call failed: {exc}")
+        return findings
+    names = ("dynamics", "dynamics_jac[F]", "dynamics_jac[x]", "dynamics_jac[u]")
+    for name, got, i in zip(names, batched, (0, 0, 1, 2)):
+        if _rel_dev(got, np.stack([r[i] for r in single])) > 1e-12:
+            findings.append(f"{name}: batched call differs from per-point calls")
     return findings

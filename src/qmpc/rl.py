@@ -323,12 +323,14 @@ class ValueModel:
         return 1 + self.centers.shape[0]
 
     def features(self, s: np.ndarray) -> np.ndarray:
+        """Feature vectors of states s (..., n), shape (..., feature_dim)."""
         s = np.asarray(s, dtype=float)
+        ones = np.ones(s.shape[:-1] + (1,))
         if self.kind == _QUAD:
-            quad = [s[i] * s[j] for i, j in self._pairs()]
-            return np.concatenate([[1.0], s, quad])
-        d2 = np.sum((self.centers - s) ** 2, axis=1)
-        return np.concatenate([[1.0], np.exp(-0.5 * d2 / self.lengthscale**2)])
+            i, j = np.array(self._pairs()).T
+            return np.concatenate([ones, s, s[..., i] * s[..., j]], axis=-1)
+        d2 = np.sum((self.centers - s[..., None, :]) ** 2, axis=-1)
+        return np.concatenate([ones, np.exp(-0.5 * d2 / self.lengthscale**2)], axis=-1)
 
     def features_jac(self, s: np.ndarray) -> np.ndarray:
         """Per-feature state gradients, shape (feature_dim, n)."""
@@ -346,8 +348,10 @@ class ValueModel:
         J[1:] = (phi_c[:, None] * diffs) / self.lengthscale**2
         return J
 
-    def value(self, s: np.ndarray) -> float:
-        return float(self.weights @ self.features(s))
+    def value(self, s: np.ndarray) -> float | np.ndarray:
+        """Value of one state (n,) as a float, or of states (..., n) as an array."""
+        v = self.features(s) @ self.weights
+        return float(v) if np.ndim(v) == 0 else v
 
     def value_grad(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -409,7 +413,7 @@ def fit_value_function(
     elif kind != _QUAD:
         raise ValueError(f"unknown value model kind {kind!r}")
     probe = ValueModel(kind=kind, n=n, weights=np.zeros(1), centers=centers, lengthscale=lengthscale)
-    X = np.stack([probe.features(s) for s in states])
+    X = probe.features(states)
     w, _, rank, _ = np.linalg.lstsq(X, returns, rcond=None)
     ridged = False
     if rank < X.shape[1]:

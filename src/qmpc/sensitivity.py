@@ -68,7 +68,7 @@ def _check_converged(kkt: KKTPoint, want_pinned: bool | None = None):
 def _regularity(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> str:
     """Strict complementarity check around the reported active set."""
     st = _Stacker(spec, kkt.pinned_a is not None)
-    _, _, h, _ = _eval_constraints(st, phi, kkt.z, kkt.s, kkt.pinned_a)
+    _, _, h, _ = _eval_constraints(st, phi, kkt.z, kkt.s, kkt.pinned_a, with_jac=False)
     active = set(int(i) for i in kkt.active_set)
     for i in range(h.size):
         if i in active:

@@ -66,7 +66,9 @@ class KKTPoint:
 
 @dataclass(frozen=True)
 class SolveReport:
-    status: str  # converged | max_iter | infeasible | diverged
+    # converged | max_iter (SQP iteration cap, or QP pivot cap) | stalled (the
+    # line search found no acceptable step) | infeasible | diverged
+    status: str
     iterations: int
     kkt_residual: float
 
@@ -94,20 +96,26 @@ class _Stacker:
         H, n, m = self.spec.H, self.spec.n, self.spec.m
         return slice(H * n + k * m, H * n + (k + 1) * m)
 
-    def states(self, z: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
-        return [s] + [z[self.xs(k)] for k in range(1, self.spec.H + 1)]
+    def states(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """x_0..x_H as rows of an (H+1, n) array."""
+        spec = self.spec
+        return np.vstack([s, z[: self.n_dyn].reshape(spec.H, spec.n)])
 
-    def inputs(self, z: np.ndarray) -> list[np.ndarray]:
-        return [z[self.us(k)] for k in range(self.spec.H)]
+    def inputs(self, z: np.ndarray) -> np.ndarray:
+        """u_0..u_{H-1} as rows of an (H, m) array."""
+        return z[self.n_dyn :].reshape(self.spec.H, self.spec.m)
 
 
-def _eval_objective(st: _Stacker, phi, z, s):
+def _eval_objective(st: _Stacker, phi, z, s, with_grad=True):
+    """Objective at z and, with ``with_grad``, its gradient (else None)."""
     spec = st.spec
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
     us = st.inputs(z)
     F = sum(w[k] * spec.stage_cost(xs[k], us[k], phi) for k in range(spec.H))
     F += wH * spec.terminal_cost(xs[spec.H], phi)
+    if not with_grad:
+        return float(F), None
     grad = np.zeros(st.nz)
     for k in range(spec.H):
         lx, lu = spec.stage_grad(xs[k], us[k], phi)
@@ -118,45 +126,59 @@ def _eval_objective(st: _Stacker, phi, z, s):
     return float(F), grad
 
 
-def _eval_constraints(st: _Stacker, phi, z, s, pinned_a):
-    """Values and Jacobians of all equality and inequality rows at z."""
+def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
+    """Values of all equality and inequality rows at z, and with ``with_jac``
+    their Jacobians (else None).
+
+    The dynamics of all H stages come from one batched callback call:
+    ``dynamics_jac`` with Jacobians, ``dynamics`` without.
+    """
     spec = st.spec
+    H, n = spec.H, spec.n
     xs = st.states(z, s)
     us = st.inputs(z)
     c = np.zeros(st.n_eq_rows)
-    C = np.zeros((st.n_eq_rows, st.nz))
-    for k in range(spec.H):
-        rows = slice(k * spec.n, (k + 1) * spec.n)
-        fx, fu = spec.dynamics_jac(xs[k], us[k], phi)
-        c[rows] = xs[k + 1] - spec.dynamics(xs[k], us[k], phi)
-        C[rows, st.xs(k + 1)] = np.eye(spec.n)
-        if k >= 1:
-            C[rows, st.xs(k)] = -fx
-        C[rows, st.us(k)] = -fu
+    C = Hj = None
+    if with_jac:
+        f, fx, fu = spec.dynamics_jac(xs[:-1], us, phi)
+        C = np.zeros((st.n_eq_rows, st.nz))
+        C[: st.n_dyn, : st.n_dyn] = np.eye(st.n_dyn)
+        for k in range(H):
+            rows = slice(k * n, (k + 1) * n)
+            if k >= 1:
+                C[rows, st.xs(k)] = -fx[k]
+            C[rows, st.us(k)] = -fu[k]
+    else:
+        f = spec.dynamics(xs[:-1], us, phi)
+    c[: st.n_dyn] = (xs[1:] - f).ravel()
     if spec.n_eq:
         base = st.n_dyn
-        for k in range(spec.H):
+        for k in range(H):
             rows = slice(base + k * spec.n_eq, base + (k + 1) * spec.n_eq)
-            gx, gu = spec.eq_jac(xs[k], us[k], phi)
             c[rows] = spec.eq_constraints(xs[k], us[k], phi)
-            if k >= 1:
-                C[rows, st.xs(k)] = gx
-            C[rows, st.us(k)] = gu
+            if with_jac:
+                gx, gu = spec.eq_jac(xs[k], us[k], phi)
+                if k >= 1:
+                    C[rows, st.xs(k)] = gx
+                C[rows, st.us(k)] = gu
     if st.n_pin:
         rows = slice(st.n_eq_rows - spec.m, st.n_eq_rows)
         c[rows] = us[0] - pinned_a
-        C[rows, st.us(0)] = np.eye(spec.m)
+        if with_jac:
+            C[rows, st.us(0)] = np.eye(spec.m)
 
     h = np.zeros(st.n_in_rows)
-    Hj = np.zeros((st.n_in_rows, st.nz))
+    if with_jac:
+        Hj = np.zeros((st.n_in_rows, st.nz))
     if spec.n_ineq:
-        for k in range(spec.H):
+        for k in range(H):
             rows = slice(k * spec.n_ineq, (k + 1) * spec.n_ineq)
-            hx, hu = spec.ineq_jac(xs[k], us[k], phi)
             h[rows] = spec.ineq_constraints(xs[k], us[k], phi)
-            if k >= 1:
-                Hj[rows, st.xs(k)] = hx
-            Hj[rows, st.us(k)] = hu
+            if with_jac:
+                hx, hu = spec.ineq_jac(xs[k], us[k], phi)
+                if k >= 1:
+                    Hj[rows, st.xs(k)] = hx
+                Hj[rows, st.us(k)] = hu
     return c, C, h, Hj
 
 
@@ -257,8 +279,8 @@ def solve_ocp(
     """Solve the OCP from state ``s``; pin the first input to price Q(s, a).
 
     Returns (kkt, report).  kkt is None when no usable iterate exists
-    (infeasible problem or divergence); on status "max_iter" the best iterate
-    found is returned together with its residual.
+    (infeasible problem or divergence); on status "max_iter" or "stalled" the
+    best iterate found is returned together with its residual.
     """
     cfg = settings or SolverSettings()
     s = np.asarray(s, dtype=float)
@@ -343,31 +365,39 @@ def solve_ocp(
         alpha = 1.0
         while alpha >= cfg.alpha_min:
             z_try = z + alpha * p
-            F_try, _ = _eval_objective(st, phi, z_try, s)
-            c_try, _, h_try, _ = _eval_constraints(st, phi, z_try, s, pinned_a)
+            F_try, _ = _eval_objective(st, phi, z_try, s, with_grad=False)
+            c_try, _, h_try, _ = _eval_constraints(st, phi, z_try, s, pinned_a, with_jac=False)
             if np.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
                 if m_try <= m0 + cfg.armijo_c1 * alpha * D + slack:
                     break
             alpha *= 0.5
         else:
-            # no acceptable step: stall
-            return best[1], SolveReport("max_iter", it, best[0])
+            return best[1], SolveReport("stalled", it, best[0])
         z = z + alpha * p
         lam, mu = lam_new, mu_new
 
     return best[1], SolveReport("max_iter", cfg.max_sqp_iters, best[0])
 
 
-def _require_converged(kkt, report):
+def _require_converged(report: SolveReport, cfg: SolverSettings):
     if report.status == "converged":
         return
     if report.status == "infeasible":
         raise InfeasibleError(f"OCP infeasible after {report.iterations} iterations")
     if report.status == "diverged":
         raise DivergenceError("OCP solve diverged", step=report.iterations)
+    if report.status == "stalled":
+        reason = f"stalled: no acceptable line-search step at SQP iteration {report.iterations}"
+    elif report.iterations < cfg.max_sqp_iters:
+        reason = (
+            f"hit the QP pivot cap (max_qp_pivots={cfg.max_qp_pivots}) "
+            f"at SQP iteration {report.iterations}"
+        )
+    else:
+        reason = f"hit the SQP iteration cap (max_sqp_iters={cfg.max_sqp_iters})"
     raise NonConvergenceError(
-        f"OCP solve stalled at residual {report.kkt_residual:.3e}",
+        f"OCP solve {reason}, residual {report.kkt_residual:.3e}",
         residual=report.kkt_residual,
     )
 
@@ -385,7 +415,7 @@ def mpc_policy(
     starting and sensitivity analysis.
     """
     kkt, report = solve_ocp(spec, phi, s, None, warm_start, settings)
-    _require_converged(kkt, report)
+    _require_converged(report, settings or SolverSettings())
     st = _Stacker(spec, False)
     return kkt.z[st.us(0)].copy(), kkt
 
@@ -400,7 +430,7 @@ def mpc_qvalue(
 ) -> tuple[float, KKTPoint]:
     """Optimal cost with (x_0, u_0) pinned to (s, a) — the Q-value in cost sign."""
     kkt, report = solve_ocp(spec, phi, s, a, warm_start, settings)
-    _require_converged(kkt, report)
+    _require_converged(report, settings or SolverSettings())
     return kkt.objective, kkt
 
 

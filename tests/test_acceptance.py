@@ -5,6 +5,7 @@ The two case studies run once each through the shipped configuration files
 this module is the slow part of the suite.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -23,6 +24,12 @@ from qmpc.solver import mpc_policy, mpc_qvalue
 from tests.conftest import A2, B2, GAMMA, Q2, R2
 
 REPO = Path(__file__).resolve().parents[1]
+# Outputs of configs/cstr_vfmpc.yaml (metrics.csv without wall_time), kept to
+# make numerical drift visible: reruns agree byte for byte, but a change that
+# reorders floating-point operations can shift the numbers and keep every
+# verdict.
+CSTR_REFERENCE = REPO / "tests" / "reference" / "cstr_vfmpc"
+REF_RTOL, REF_ATOL = 1e-9, 1e-12
 
 
 def verdict(name: str, ok: bool, detail: str):
@@ -228,4 +235,54 @@ def test_reruns_are_byte_identical(lq_study, cstr_study, tmp_path):
         lq_same and cstr_same and curves_same,
         f"lq identical: {lq_same}, reactor identical: {cstr_same}, "
         f"curves identical: {curves_same}",
+    )
+
+
+def _compare(got, want, where: str, drift: list[float]):
+    """Ints, bools and strings must match exactly, floats within the reference
+    tolerance; the relative drift of every float is appended to ``drift``."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for k in want:
+            _compare(got[k], want[k], f"{where}.{k}", drift)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, f"{where}[{i}]", drift)
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        drift.append(abs(got - want) / max(abs(want), 1e-300))
+        assert abs(got - want) <= REF_ATOL + REF_RTOL * abs(want), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def _cell(text: str):
+    if text == "":
+        return None
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+def _csv_cells(text: str, drop_last: bool = False):
+    rows = [line.split(",") for line in text.splitlines()]
+    rows = [row[:-1] for row in rows] if drop_last else rows
+    return rows[0], [[_cell(c) for c in row] for row in rows[1:]]
+
+
+def test_reactor_outputs_match_reference(cstr_study):
+    _, out, _ = cstr_study
+    drift: list[float] = []
+    got = json.loads((out / "summary.json").read_text())
+    want = json.loads((CSTR_REFERENCE / "summary.json").read_text())
+    _compare(got, want, "summary", drift)
+    files = ["metrics.csv"] + [f"trajectory_{a}.csv" for a in ("greedy_v", "default_mpc", "vf_mpc")]
+    for name in files:
+        got = _csv_cells((out / name).read_text(), drop_last=name == "metrics.csv")
+        want = _csv_cells((CSTR_REFERENCE / name).read_text())
+        _compare(list(got), list(want), name, drift)
+    verdict(
+        "reactor outputs vs committed reference",
+        True,
+        f"{len(drift)} floats, max relative drift {max(drift):.2e} "
+        f"(bound rtol {REF_RTOL:.0e}, atol {REF_ATOL:.0e})",
     )

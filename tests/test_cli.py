@@ -52,6 +52,19 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
     assert "repetitions" in capsys.readouterr().err
 
 
+def test_run_with_every_repetition_flagged_exits_numeric(tmp_path, capsys, monkeypatch):
+    from qmpc import harness
+    from qmpc.errors import NonConvergenceError
+
+    def always_fails(*args, **kwargs):
+        raise NonConvergenceError("forced failure")
+
+    monkeypatch.setattr(harness, "reinforce_gradient", always_fails)
+    cfg = tiny_lq_yaml(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "repetitions flagged" in capsys.readouterr().err
+
+
 def test_run_without_output_directory(tmp_path, capsys):
     cfg = tiny_lq_yaml(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 2

@@ -151,7 +151,8 @@ def test_discrete_jacobians_match_fd():
     cfg = make_cstr_config()
     s = np.array([0.9, 0.6, 128.0, 127.0])
     a = np.array([22.0, -3000.0])
-    Jx, Ju = cstr_discrete_jac(cfg, s, a)
+    F, Jx, Ju = cstr_discrete_jac(cfg, s, a)
+    np.testing.assert_array_equal(F, cstr_discrete(cfg, s, a))
     h = 1e-6
     for i in range(4):
         dp_, dm = s.copy(), s.copy()
@@ -167,6 +168,36 @@ def test_discrete_jacobians_match_fd():
         dm[j] -= step
         col = (cstr_discrete(cfg, s, dp_) - cstr_discrete(cfg, s, dm)) / (2 * step)
         np.testing.assert_allclose(Ju[:, j], col, rtol=1e-6, atol=1e-8)
+
+
+def test_batched_discrete_jac_matches_per_state():
+    cfg = make_cstr_config()
+    rng = np.random.default_rng(4)
+    H = 5
+    X = rng.uniform(cfg.state_lo, cfg.state_hi, size=(H, 4))
+    U = rng.uniform(cfg.input_lo, cfg.input_hi, size=(H, 2))
+    F, Jx, Ju = cstr_discrete_jac(cfg, X, U)
+    assert F.shape == (H, 4) and Jx.shape == (H, 4, 4) and Ju.shape == (H, 4, 2)
+    np.testing.assert_array_equal(F, cstr_discrete(cfg, X, U))
+    for k in range(H):
+        Fk, Jxk, Juk = cstr_discrete_jac(cfg, X[k], U[k])
+        np.testing.assert_array_equal(F[k], Fk)
+        np.testing.assert_allclose(Jx[k], Jxk, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Ju[k], Juk, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_rhs_jac_matches_per_state():
+    rng = np.random.default_rng(5)
+    cfg = make_cstr_config()
+    X = rng.uniform(cfg.state_lo, cfg.state_hi, size=(2, 3, 4))
+    U = rng.uniform(cfg.input_lo, cfg.input_hi, size=(3, 2))  # broadcast over axis 0
+    Jx, Ju = cstr_rhs_jac(CSTR_ODE_PARAMS, X, U)
+    assert Jx.shape == (2, 3, 4, 4) and Ju.shape == (2, 3, 4, 2)
+    for i in range(2):
+        for k in range(3):
+            Jxk, Juk = cstr_rhs_jac(CSTR_ODE_PARAMS, X[i, k], U[k])
+            np.testing.assert_array_equal(Jx[i, k], Jxk)
+            np.testing.assert_array_equal(Ju[i, k], Juk)
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,54 @@ def test_validate_flags_wrong_shape(lq2_ocp):
     bad = dataclasses.replace(spec, terminal_grad=lambda x, pv: np.zeros(3))
     findings = validate_spec(bad, phi)
     assert any(f.startswith("terminal_grad:") and "shape" in f for f in findings)
+
+
+def test_validate_flags_dynamics_jac_state_mismatch(lq2_ocp):
+    spec, phi = lq2_ocp
+    orig = spec.dynamics_jac
+
+    def stale_state(x, u, pv):
+        f, fx, fu = orig(x, u, pv)
+        return f + 1e-6, fx, fu
+
+    findings = validate_spec(dataclasses.replace(spec, dynamics_jac=stale_state), phi)
+    assert any(f.startswith("dynamics_jac[F]: differs from dynamics") for f in findings)
+
+
+def test_validate_flags_wrong_dynamics_jacobian_block(lq2_ocp):
+    spec, phi = lq2_ocp
+    orig = spec.dynamics_jac
+
+    def skewed(x, u, pv):
+        f, fx, fu = orig(x, u, pv)
+        return f, fx, 1.01 * fu
+
+    findings = validate_spec(dataclasses.replace(spec, dynamics_jac=skewed), phi)
+    assert any(f.startswith("dynamics_jac[u]:") for f in findings)
+    assert all(not f.startswith("dynamics_jac[x]:") for f in findings)
+
+
+def test_validate_flags_per_stage_dynamics(lq2_ocp):
+    # callbacks written for one stage at a time break the batching rule
+    spec, phi = lq2_ocp
+    per_stage = dataclasses.replace(
+        spec,
+        dynamics=lambda x, u, pv: A2 @ x + B2 @ u,
+        dynamics_jac=lambda x, u, pv: (A2 @ x + B2 @ u, A2, B2),
+    )
+    findings = validate_spec(per_stage, phi)
+    assert any(f.startswith("dynamics: batched call failed") for f in findings)
+
+
+def test_lq_batched_dynamics_round_like_one_stage(lq2_ocp):
+    # a batch must give A @ x + B @ u of each stage bit for bit, so batching
+    # the solver's calls leaves every LQ result unchanged
+    spec, phi = lq2_ocp
+    rng = np.random.default_rng(8)
+    X = 10.0 * rng.normal(size=(50, 2))
+    U = rng.normal(size=(50, 1))
+    F, Fx, Fu = spec.dynamics_jac(X, U, phi)
+    np.testing.assert_array_equal(F, np.stack([A2 @ x + B2 @ u for x, u in zip(X, U)]))
+    np.testing.assert_array_equal(spec.dynamics(X, U, phi), F)
+    assert Fx.shape == (50, 2, 2) and np.all(Fx == A2)
+    assert Fu.shape == (50, 2, 1) and np.all(Fu == B2)

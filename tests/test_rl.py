@@ -354,6 +354,28 @@ def test_value_model_derivatives_match_fd(kind):
     np.testing.assert_allclose(model.features_jac(s), fd_feat, atol=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "rbf"])
+def test_value_model_features_batch_equals_per_state(kind):
+    rng = np.random.default_rng(3)
+    n = 4
+    if kind == "rbf":
+        model = ValueModel(kind=kind, n=n, weights=rng.normal(size=7),
+                           centers=rng.normal(size=(6, n)), lengthscale=0.9)
+    else:
+        model = ValueModel(kind=kind, n=n, weights=rng.normal(size=15))
+    S = rng.normal(size=(2, 5, n))
+    feats = model.features(S)
+    assert feats.shape == (2, 5, model.feature_dim())
+    per_state = np.stack([[model.features(s) for s in row] for row in S])
+    np.testing.assert_array_equal(feats, per_state)
+    values = model.value(S)
+    assert values.shape == (2, 5)
+    np.testing.assert_allclose(
+        values, [[model.value(s) for s in row] for row in S], rtol=1e-12, atol=1e-12
+    )
+    assert isinstance(model.value(S[0, 0]), float)
+
+
 # ---------------------------------------------------------------------------
 # exploration by cost perturbation
 

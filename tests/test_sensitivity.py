@@ -99,7 +99,11 @@ def test_dead_parameter_entry_is_structurally_zero():
         terminal_phi=lambda x, pv: np.zeros(3),
         terminal_grad_phi=lambda x, pv: np.zeros((1, 3)),
         dynamics=lambda x, u, pv: 0.5 * x + u,
-        dynamics_jac=lambda x, u, pv: (0.5 * np.eye(1), np.eye(1)),
+        dynamics_jac=lambda x, u, pv: (
+            0.5 * x + u,
+            np.broadcast_to(0.5 * np.eye(1), x.shape[:-1] + (1, 1)),
+            np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
+        ),
         dynamics_phi=lambda x, u, pv: np.zeros((1, 3)),
         dynamics_jac_phi_vp=lambda x, u, pv, lam: (np.zeros((1, 3)), np.zeros((1, 3))),
         dynamics_hess_vp=lambda x, u, pv, lam: np.zeros((2, 2)),

@@ -1,11 +1,12 @@
 """SQP solver: LQ exactness against the Riccati oracle, constraints, errors."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from qmpc import dp
+from qmpc import dp, solver
 from qmpc.envs import build_cstr_ocp
 from qmpc.errors import DivergenceError, InfeasibleError, NonConvergenceError
 from qmpc.ocp import build_lq_ocp
@@ -181,8 +182,34 @@ def test_sqp_iteration_cap_raises(cstr_cfg):
                                terminal_weights=np.zeros(15))
     x0 = np.array([0.8, 0.4, 130.0, 130.0])
     tight = SolverSettings(kkt_tol=1e-10, max_sqp_iters=1)
-    with pytest.raises(NonConvergenceError):
+    kkt, report = solve_ocp(spec, phi, x0, settings=tight)
+    assert report.status == "max_iter" and report.iterations == 1
+    assert kkt is not None  # best iterate found is still returned
+    with pytest.raises(NonConvergenceError, match=r"iteration cap \(max_sqp_iters=1\)") as exc:
         mpc_policy(spec, phi, x0, settings=tight)
+    assert "stalled" not in str(exc.value)
+    assert exc.value.residual == report.kkt_residual
+
+
+def test_qp_pivot_cap_is_told_apart_from_the_sqp_cap():
+    spec, phi = make_scalar_ocp(u_lo=-1.0, u_hi=1.0)
+    no_pivots = SolverSettings(max_qp_pivots=0)
+    _, report = solve_ocp(spec, phi, np.array([4.0]), settings=no_pivots)
+    assert report.status == "max_iter" and report.iterations == 0
+    with pytest.raises(NonConvergenceError, match=r"QP pivot cap \(max_qp_pivots=0\)"):
+        mpc_policy(spec, phi, np.array([4.0]), settings=no_pivots)
+
+
+def test_line_search_stall_has_its_own_status(lq2_ocp):
+    spec, phi = lq2_ocp
+    s = np.array([0.6, -0.4])
+    no_step = SolverSettings(alpha_min=2.0)  # even the full step is below alpha_min
+    kkt, report = solve_ocp(spec, phi, s, settings=no_step)
+    assert report.status == "stalled" and report.iterations == 0
+    assert kkt is not None
+    with pytest.raises(NonConvergenceError, match="stalled") as exc:
+        mpc_policy(spec, phi, s, settings=no_step)
+    assert "iteration cap" not in str(exc.value)
 
 
 def test_non_finite_warm_start_reports_divergence(lq2_ocp):
@@ -202,6 +229,55 @@ def test_input_shape_validation(lq2_ocp):
         solve_ocp(spec, phi, np.zeros(3))
     with pytest.raises(ValueError):
         solve_ocp(spec, phi, np.zeros(2), pinned_a=np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# callback traffic
+
+
+def _logged(spec):
+    """Spec whose dynamics callbacks append to a log: D for dynamics, J for
+    dynamics_jac (with the batch shapes it received)."""
+    log, shapes = [], []
+
+    def dynamics(x, u, pv):
+        log.append("D")
+        return spec.dynamics(x, u, pv)
+
+    def dynamics_jac(x, u, pv):
+        log.append("J")
+        shapes.append((np.shape(x), np.shape(u)))
+        return spec.dynamics_jac(x, u, pv)
+
+    return dataclasses.replace(spec, dynamics=dynamics, dynamics_jac=dynamics_jac), log, shapes
+
+
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_one_batched_dynamics_jacobian_per_sqp_iterate(case, lq2_ocp, cstr_cfg, monkeypatch):
+    if case == "lq":
+        spec, phi = lq2_ocp
+        s, settings = np.array([0.6, -0.4]), None
+    else:
+        spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98,
+                                   terminal_weights=np.zeros(15))
+        s, settings = np.array([0.8, 0.4, 130.0, 130.0]), SolverSettings(kkt_tol=1e-6)
+    logged, log, shapes = _logged(spec)
+    qp_solve = solver.qp_solve
+
+    def logged_qp(*args, **kwargs):
+        log.append("Q")
+        return qp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "qp_solve", logged_qp)
+    _, report = solve_ocp(logged, phi, s, settings=settings)
+    assert report.status == "converged" and report.iterations >= 1
+    trace = "".join(log)
+    # cold-start rollout, then per iterate one Jacobian call, its QP, and a
+    # line search that evaluates the dynamics without Jacobians
+    assert re.fullmatch(r"D*J(QD+J)*", trace), trace
+    assert trace.count("Q") == report.iterations
+    assert trace.count("J") == report.iterations + 1
+    assert set(shapes) == {((spec.H, spec.n), (spec.H, spec.m))}
 
 
 # ---------------------------------------------------------------------------
