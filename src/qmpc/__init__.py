@@ -54,13 +54,9 @@ from .ocp import OCPSpec, OpenLoopPlan, ParameterVector, build_lq_ocp, eval_open
 from .qp import QPSolution, qp_solve
 from .rl import (
     GaussianMPCPolicy,
-    LearnerConfig,
-    ReplayBuffer,
     ValueModel,
     fit_value_function,
     gradient_step,
-    perturbed_cost_exploration,
-    q_learning_update,
     reinforce_gradient,
     td_loss_and_grad,
 )
@@ -115,13 +111,9 @@ __all__ = [
     "QPSolution",
     "qp_solve",
     "GaussianMPCPolicy",
-    "LearnerConfig",
-    "ReplayBuffer",
     "ValueModel",
     "fit_value_function",
     "gradient_step",
-    "perturbed_cost_exploration",
-    "q_learning_update",
     "reinforce_gradient",
     "td_loss_and_grad",
     "SensitivityResult",

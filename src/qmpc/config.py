@@ -50,6 +50,9 @@ class OCPSection:
 
 @dataclass(frozen=True)
 class LearnerSection:
+    """REINFORCE settings of the LQ study.  The exploration std follows
+    sigma_at(i) = max(sigma_min, sigma0 * sigma_decay**i) over iterations."""
+
     alpha: float
     iterations: int
     episodes: int
@@ -57,8 +60,6 @@ class LearnerSection:
     sigma0: float
     sigma_decay: float = 1.0
     sigma_min: float = 1e-3
-    batch: int = 32
-    perturbation_scale: float = 0.0
 
     def sigma_at(self, iteration: int) -> float:
         return max(self.sigma_min, self.sigma0 * self.sigma_decay**iteration)
@@ -182,8 +183,7 @@ def _parse_learner(d: dict) -> LearnerSection:
     where = "learner"
     _check_keys(
         d,
-        {"alpha", "iterations", "episodes", "T", "sigma0", "sigma_decay",
-         "sigma_min", "batch", "perturbation_scale"},
+        {"alpha", "iterations", "episodes", "T", "sigma0", "sigma_decay", "sigma_min"},
         {"alpha", "iterations", "episodes", "T", "sigma0"},
         where,
     )
@@ -196,8 +196,6 @@ def _parse_learner(d: dict) -> LearnerSection:
             sigma0=float(d["sigma0"]),
             sigma_decay=float(d.get("sigma_decay", 1.0)),
             sigma_min=float(d.get("sigma_min", 1e-3)),
-            batch=int(d.get("batch", 32)),
-            perturbation_scale=float(d.get("perturbation_scale", 0.0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc

@@ -319,20 +319,16 @@ def build_cstr_ocp(
     H: int,
     gamma: float,
     terminal_weights: np.ndarray,
-    terminal_kind: str = "quadratic",
-    terminal_centers: np.ndarray | None = None,
-    terminal_lengthscale: float | None = None,
     discount_in_horizon: bool = True,
-    state_constraints: bool = True,
 ) -> tuple[OCPSpec, ParameterVector]:
     """Tracking OCP over the reactor's dt-discretized dynamics.
 
     Stage cost: w_track*(c_B - setpoint)^2 + sum_i w_move_i*(u_i - u_ref_i)^2
     (the move penalty is anchored to the reference input so the stage cost
     stays a pure state-input function).  Terminal cost is the negated
-    reward-sign value model defined by ``terminal_weights`` — its weights form
-    the single learnable segment "V".  Inequalities put box constraints on
-    inputs and, when ``state_constraints``, on states.
+    reward-sign quadratic value model defined by ``terminal_weights`` — its
+    weights form the single learnable segment "V".  Inequalities put box
+    constraints on inputs and states.
 
     Returns (spec, phi0) with phi0 holding the terminal weights.
     """
@@ -346,13 +342,7 @@ def build_cstr_ocp(
     wt, wm = cfg.w_track, cfg.w_move
 
     def vmodel(pv):
-        return ValueModel(
-            kind=terminal_kind,
-            n=n,
-            weights=pv.segment("V"),
-            centers=terminal_centers,
-            lengthscale=terminal_lengthscale,
-        )
+        return ValueModel(n=n, weights=pv.segment("V"))
 
     expected_dim = vmodel(phi0).feature_dim()
     if p != expected_dim:
@@ -409,14 +399,9 @@ def build_cstr_ocp(
 
     rows_u = np.vstack([np.eye(m), -np.eye(m)])
     off_u = np.concatenate([-cfg.input_hi, cfg.input_lo])
-    if state_constraints:
-        rows_x = np.vstack([np.eye(n), -np.eye(n)])
-        off_x = np.concatenate([-cfg.state_hi, cfg.state_lo])
-        n_ineq = 2 * m + 2 * n
-    else:
-        rows_x = np.zeros((0, n))
-        off_x = np.zeros(0)
-        n_ineq = 2 * m
+    rows_x = np.vstack([np.eye(n), -np.eye(n)])
+    off_x = np.concatenate([-cfg.state_hi, cfg.state_lo])
+    n_ineq = 2 * m + 2 * n
 
     def ineq_constraints(x, u, pv):
         return np.concatenate([rows_u @ u + off_u, rows_x @ x + off_x])

@@ -28,7 +28,7 @@ from .envs import (
 )
 from .errors import DimensionError, NonConvergenceError, QmpcError
 from .mdp import TabularMDP, episode_rng, estimate_J, rollout
-from .ocp import build_lq_ocp, lq_matrices
+from .ocp import build_lq_ocp
 from .rl import (
     GaussianMPCPolicy,
     ReinforceResult,
@@ -60,6 +60,8 @@ _CURVE_FIELDS = ("J_hat", "frob_A", "frob_B", "td_loss", "violation_count")
 # with the exploration variance (the score magnitude grows like 1/sigma^2,
 # so a sigma^2-proportional step keeps the effective update scale constant).
 GRAD_CLIP = 25.0
+# Random LQ instances the oracle suite draws before giving up on a seed.
+LQ_DRAW_ATTEMPTS = 10
 
 
 @dataclass
@@ -379,24 +381,23 @@ def train_value_model(
         states_all, returns_all = [], []
         for ep in range(training.episodes):
             rng = episode_rng(seed_int(seed, rnd), ep)
-            s = env.reset(rng)
             a_prev = cfg.reference_input.copy()
-            states, rewards = [], []
-            for _ in range(training.T):
+
+            def explore(s):
+                nonlocal a_prev
                 if vmodel is None or rng.uniform() < training.epsilon:
-                    a = grid[rng.integers(grid.shape[0])]
+                    a_prev = grid[rng.integers(grid.shape[0])]
                 else:
-                    a = greedy_value_action(cfg, vmodel, s, a_prev, grid, gamma)
-                r, s_next = env.step(s, a, rng)
-                states.append(s)
-                rewards.append(r)
-                a_prev = a
-                s = s_next
-            G = gamma * vmodel.value(s) if vmodel is not None else 0.0
+                    a_prev = greedy_value_action(cfg, vmodel, s, a_prev, grid, gamma)
+                return a_prev
+
+            traj = rollout(env, explore, training.T, seed, rng=rng)
+            G = gamma * vmodel.value(traj.steps[-1].s_next) if vmodel is not None else 0.0
+            rewards = traj.rewards
             returns = np.empty(training.T)
             for t in reversed(range(training.T)):
                 returns[t] = rewards[t] + (gamma * returns[t + 1] if t + 1 < training.T else G)
-            states_all.extend(states)
+            states_all.extend(tr.s for tr in traj.steps)
             returns_all.extend(returns)
         vmodel = fit_value_function(np.array(states_all), np.array(returns_all))
         info["rounds"].append({"rmse": vmodel.rmse, "samples": len(returns_all)})
@@ -410,7 +411,7 @@ def train_value_model(
 
 def default_terminal_weights(scale: float, setpoint: float) -> np.ndarray:
     """Reward-sign quadratic feature weights encoding -scale*(c_B - setpoint)^2."""
-    probe = ValueModel(kind="quadratic", n=4, weights=np.zeros(1))
+    probe = ValueModel(n=4, weights=np.zeros(1))
     pairs = probe._pairs()
     w = np.zeros(1 + 4 + len(pairs))
     w[0] = -scale * setpoint**2
@@ -549,6 +550,28 @@ def _random_tabular_mdp(rng: np.random.Generator) -> TabularMDP:
     return TabularMDP(P=P, R=R, gamma=gamma)
 
 
+def _random_lq_instance(rng: np.random.Generator, n: int, m: int, Qc: np.ndarray):
+    """Random (A, B, Rc, gamma) with its Riccati solution P.
+
+    A = 0.7 N(0, 1) need not be stabilizable; an instance whose Riccati
+    iteration fails is redrawn, up to LQ_DRAW_ATTEMPTS draws in all.  A first
+    draw that solves consumes the generator exactly as one draw does.
+    """
+    for attempt in range(1, LQ_DRAW_ATTEMPTS + 1):
+        A = rng.normal(size=(n, n)) * 0.7
+        B = rng.normal(size=(n, m))
+        Rc = np.eye(m) * float(rng.uniform(0.3, 2.0))
+        gamma = float(rng.uniform(0.9, 0.98))
+        try:
+            P, _ = dp.riccati_solve(A, B, Qc, Rc, gamma)
+        except NonConvergenceError:
+            if attempt == LQ_DRAW_ATTEMPTS:
+                raise
+            log.info("oracle suite: LQ draw %d not solvable, redrawing", attempt)
+            continue
+        return A, B, Rc, gamma, P
+
+
 def run_oracle_suite(out_dir: str | Path, seed: int = 0) -> dict:
     """Property checks of the dynamic-programming and sensitivity machinery.
 
@@ -582,12 +605,8 @@ def run_oracle_suite(out_dir: str | Path, seed: int = 0) -> dict:
     sens_dev = []
     for _ in range(5):
         n, m = 2, 1
-        A = rng.normal(size=(n, n)) * 0.7
-        B = rng.normal(size=(n, m))
         Qc = np.eye(n)
-        Rc = np.eye(m) * float(rng.uniform(0.3, 2.0))
-        gamma = float(rng.uniform(0.9, 0.98))
-        P, K = dp.riccati_solve(A, B, Qc, Rc, gamma)
+        A, B, Rc, gamma, P = _random_lq_instance(rng, n, m, Qc)
         G = Rc + gamma * B.T @ P @ B
         res = Qc + gamma * A.T @ P @ A - gamma**2 * (
             A.T @ P @ B

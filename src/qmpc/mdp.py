@@ -212,6 +212,13 @@ def estimate_J(
         except DivergenceError as exc:
             raise DivergenceError(f"episode {ep}: {exc}", step=exc.step) from exc
         returns[ep] = discounted_return(traj, gamma)
+    return mean_stderr(returns)
+
+
+def mean_stderr(returns: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-episode returns and its standard error (sample std
+    / sqrt(episodes); zero for one episode)."""
+    episodes = len(returns)
     mean = float(np.mean(returns))
     stderr = 0.0 if episodes == 1 else float(np.std(returns, ddof=1) / np.sqrt(episodes))
     return mean, stderr

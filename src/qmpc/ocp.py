@@ -389,17 +389,6 @@ def build_lq_ocp(
     return spec, phi0
 
 
-def lq_matrices(pv: ParameterVector, n: int, m: int):
-    """Unpack (A, B, Q, R, P) from a parameter vector with the LQ layout."""
-    return (
-        pv.segment("A").reshape(n, n),
-        pv.segment("B").reshape(n, m),
-        pv.segment("Q").reshape(n, n),
-        pv.segment("R").reshape(m, m),
-        pv.segment("P").reshape(n, n),
-    )
-
-
 def eval_open_loop(
     spec: OCPSpec, phi: ParameterVector, x0: np.ndarray, u_seq: np.ndarray
 ) -> OpenLoopPlan:
@@ -483,9 +472,12 @@ def validate_spec(
 
     Probes a handful of random points; every first derivative (in x, u, and
     phi) is compared against central differences of its parent callback at
-    relative tolerance 1e-4.  The state returned by ``dynamics_jac`` must equal
-    ``dynamics``, and both dynamics callbacks, given all probe points as one
-    batch, must return the per-point results (relative tolerance 1e-12).
+    relative tolerance 1e-4; each ``*_jac_phi_vp`` against differences of its
+    Jacobian's transpose times a random multiplier, d(f_x'lam)/dphi for the
+    dynamics and d(h_x'mu)/dphi for the constraints.  The state returned by
+    ``dynamics_jac`` must equal ``dynamics``, and both dynamics callbacks,
+    given all probe points as one batch, must return the per-point results
+    (relative tolerance 1e-12).
     Returns human-readable findings; empty means the spec passed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
@@ -578,23 +570,29 @@ def validate_spec(
                 hv,
                 _fd_jac(lambda v: _fd_grad(lam_f, v, 1e-5), np.concatenate([x, u]), 1e-5),
             )
-        if spec.ineq_constraints is not None:
-            hx, hu = spec.ineq_jac(x, u, phi)
-            check("ineq_jac[x]", hx, _fd_jac(lambda v: spec.ineq_constraints(v, u, phi), x))
-            check("ineq_jac[u]", hu, _fd_jac(lambda v: spec.ineq_constraints(x, v, phi), u))
+        for kind, rows in (("ineq", spec.n_ineq), ("eq", spec.n_eq)):
+            if rows == 0:
+                continue
+            cons, jac = getattr(spec, f"{kind}_constraints"), getattr(spec, f"{kind}_jac")
+            cx, cu = jac(x, u, phi)
+            check(f"{kind}_jac[x]", cx, _fd_jac(lambda v: cons(v, u, phi), x))
+            check(f"{kind}_jac[u]", cu, _fd_jac(lambda v: cons(x, v, phi), u))
             check(
-                "ineq_phi",
-                spec.ineq_phi(x, u, phi),
-                _fd_jac(lambda v: spec.ineq_constraints(x, u, phi.with_vector(v)), phi.phi),
+                f"{kind}_phi",
+                getattr(spec, f"{kind}_phi")(x, u, phi),
+                _fd_jac(lambda v: cons(x, u, phi.with_vector(v)), phi.phi),
             )
-        if spec.eq_constraints is not None:
-            gx, gu = spec.eq_jac(x, u, phi)
-            check("eq_jac[x]", gx, _fd_jac(lambda v: spec.eq_constraints(v, u, phi), x))
-            check("eq_jac[u]", gu, _fd_jac(lambda v: spec.eq_constraints(x, v, phi), u))
+            mu = rng.normal(size=rows)
+            dcx, dcu = getattr(spec, f"{kind}_jac_phi_vp")(x, u, phi, mu)
             check(
-                "eq_phi",
-                spec.eq_phi(x, u, phi),
-                _fd_jac(lambda v: spec.eq_constraints(x, u, phi.with_vector(v)), phi.phi),
+                f"{kind}_jac_phi_vp[x]",
+                dcx,
+                _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[0].T @ mu, phi.phi),
+            )
+            check(
+                f"{kind}_jac_phi_vp[u]",
+                dcu,
+                _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[1].T @ mu, phi.phi),
             )
 
     X = np.stack([x for x, _ in points])

@@ -10,76 +10,17 @@ policy's parameter Jacobian.
 from __future__ import annotations
 
 import logging
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QmpcError
-from .mdp import Transition, check_gamma, episode_rng
+from .mdp import Transition, check_gamma, episode_rng, mean_stderr, rollout
 from .ocp import OCPSpec, ParameterVector
 from .sensitivity import grad_q_wrt_params, jac_policy_wrt_params
-from .solver import KKTPoint, SolverSettings, mpc_policy, mpc_qvalue
+from .solver import KKTPoint, MPCController, SolverSettings, mpc_policy, mpc_qvalue
 
 log = logging.getLogger(__name__)
-
-
-class ReplayBuffer:
-    """Bounded FIFO of transitions with seeded uniform sampling."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._buf: deque[Transition] = deque(maxlen=capacity)
-
-    def add(self, tr: Transition):
-        self._buf.append(tr)
-
-    def extend(self, trs):
-        for tr in trs:
-            self.add(tr)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        if not self._buf:
-            raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._buf), size=k)
-        return [self._buf[i] for i in idx]
-
-
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Hyperparameters shared by the learning drivers.
-
-    The exploration std follows sigma_at(i) = max(sigma_min, sigma0 *
-    sigma_decay**i) over gradient iterations.
-    """
-
-    alpha: float
-    gamma: float
-    batch: int = 32
-    episodes: int = 8
-    T: int = 30
-    seed: int = 0
-    sigma0: float = 0.3
-    sigma_decay: float = 1.0
-    sigma_min: float = 1e-3
-    perturbation_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        check_gamma(self.gamma)
-        if self.batch < 1 or self.episodes < 1 or self.T < 1:
-            raise ValueError("batch, episodes, and T must be >= 1")
-        if self.sigma0 <= 0 or self.sigma_min <= 0 or not 0 < self.sigma_decay <= 1:
-            raise ValueError("sigma schedule must stay positive")
-
-    def sigma_at(self, iteration: int) -> float:
-        return max(self.sigma_min, self.sigma0 * self.sigma_decay**iteration)
 
 
 @dataclass
@@ -139,24 +80,6 @@ def td_loss_and_grad(
     )
 
 
-def q_learning_update(
-    spec: OCPSpec,
-    phi: ParameterVector,
-    buffer: ReplayBuffer,
-    cfg: LearnerConfig,
-    rng: np.random.Generator,
-    settings: SolverSettings | None = None,
-) -> tuple[ParameterVector, float]:
-    """One Q-learning step: sample a batch, descend the TD loss.
-
-    Returns the updated parameters and the pre-update loss.
-    """
-    batch = buffer.sample(cfg.batch, rng)
-    res = td_loss_and_grad(spec, phi, batch, cfg.gamma, settings=settings)
-    phi_new = gradient_step(phi, res.grad, cfg.alpha, direction="descent")
-    return phi_new, res.loss
-
-
 def gradient_step(
     phi: ParameterVector, grad: np.ndarray, alpha: float, direction: str = "ascent"
 ) -> ParameterVector:
@@ -188,14 +111,13 @@ class RunningBaseline:
         self._count += 1
 
 
-class GaussianMPCPolicy:
-    """Gaussian exploration around the deterministic MPC action.
+class GaussianMPCPolicy(MPCController):
+    """Gaussian exploration around the warm-started MPC action.
 
-    The mean is the free-solve first input; sampling adds N(0, sigma^2) per
-    dimension.  The parameter score of a sampled action chains
-    (a - mean)/sigma^2 through the policy's parameter Jacobian.  A warm-start
-    cache makes sequential calls along a trajectory cheap; call reset()
-    between episodes.
+    The mean is the free-solve first input of :class:`MPCController`;
+    sampling adds N(0, sigma^2) per dimension.  The parameter score of a
+    sampled action chains (a - mean)/sigma^2 through the policy's parameter
+    Jacobian.  Call reset() between episodes.
     """
 
     def __init__(
@@ -205,26 +127,15 @@ class GaussianMPCPolicy:
         sigma: float | np.ndarray,
         settings: SolverSettings | None = None,
     ):
-        self.spec = spec
-        self.phi = phi
+        super().__init__(spec, phi, settings)
         self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (spec.m,)).copy()
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be positive")
-        self.settings = settings
-        self._warm: KKTPoint | None = None
-
-    def reset(self):
-        self._warm = None
-
-    def mean(self, s: np.ndarray) -> tuple[np.ndarray, KKTPoint]:
-        a, kkt = mpc_policy(self.spec, self.phi, s, self._warm, self.settings)
-        self._warm = kkt
-        return a, kkt
 
     def sample(self, s: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, KKTPoint]:
         """Returns (action, mean, kkt)."""
-        mean, kkt = self.mean(s)
-        return mean + self.sigma * rng.standard_normal(self.spec.m), mean, kkt
+        mean = self(s)
+        return mean + self.sigma * rng.standard_normal(self.spec.m), mean, self._warm
 
     def score(self, kkt: KKTPoint, a: np.ndarray, mean: np.ndarray) -> np.ndarray | None:
         """grad_phi log-density of action a; None at degenerate KKT points."""
@@ -267,25 +178,28 @@ def reinforce_gradient(
     dropped = 0
     for ep in range(episodes):
         rng = episode_rng(seed, ep)
-        policy.reset()
-        s = np.asarray(env.reset(rng), dtype=float)
         score = np.zeros(policy.phi.size)
-        G = 0.0
-        for t in range(T):
+
+        def act(s):
+            nonlocal dropped, score
             a, mean, kkt = policy.sample(s, rng)
             contrib = policy.score(kkt, a, mean)
             if contrib is None:
                 dropped += 1
             else:
                 score += contrib
-            r, s = env.step(s, a, rng)
-            G += gamma**t * r
+            return a
+
+        policy.reset()
+        traj = rollout(env, act, T, seed, rng=rng)
+        G = 0.0
+        for t, tr in enumerate(traj.steps):
+            G += gamma**t * tr.r
         b = baseline.value
         baseline.update(G)
         grads.append((G - b) * score)
         returns[ep] = G
-    J_hat = float(np.mean(returns))
-    stderr = 0.0 if episodes == 1 else float(np.std(returns, ddof=1) / np.sqrt(episodes))
+    J_hat, stderr = mean_stderr(returns)
     if dropped:
         log.info("reinforce: dropped %d degenerate timesteps", dropped)
     return ReinforceResult(
@@ -293,24 +207,16 @@ def reinforce_gradient(
     )
 
 
-_QUAD = "quadratic"
-_RBF = "rbf"
-
-
 @dataclass(frozen=True)
 class ValueModel:
-    """Linear-in-features state-value model, usable as an OCP terminal cost.
+    """Quadratic state-value model, usable as an OCP terminal cost.
 
-    kind "quadratic": features [1, s, upper-triangular s s']; kind "rbf":
-    [1, Gaussian bumps at ``centers`` with common ``lengthscale``].  The model
+    Features [1, s, upper-triangular s s'], linear in ``weights``.  The model
     predicts a reward-sign value; negate for cost-sign use.
     """
 
-    kind: str
     n: int
     weights: np.ndarray
-    centers: np.ndarray | None = None
-    lengthscale: float | None = None
     rmse: float = 0.0
     ridged: bool = False
 
@@ -318,34 +224,23 @@ class ValueModel:
         return [(i, j) for i in range(self.n) for j in range(i, self.n)]
 
     def feature_dim(self) -> int:
-        if self.kind == _QUAD:
-            return 1 + self.n + self.n * (self.n + 1) // 2
-        return 1 + self.centers.shape[0]
+        return 1 + self.n + self.n * (self.n + 1) // 2
 
     def features(self, s: np.ndarray) -> np.ndarray:
         """Feature vectors of states s (..., n), shape (..., feature_dim)."""
         s = np.asarray(s, dtype=float)
         ones = np.ones(s.shape[:-1] + (1,))
-        if self.kind == _QUAD:
-            i, j = np.array(self._pairs()).T
-            return np.concatenate([ones, s, s[..., i] * s[..., j]], axis=-1)
-        d2 = np.sum((self.centers - s[..., None, :]) ** 2, axis=-1)
-        return np.concatenate([ones, np.exp(-0.5 * d2 / self.lengthscale**2)], axis=-1)
+        i, j = np.array(self._pairs()).T
+        return np.concatenate([ones, s, s[..., i] * s[..., j]], axis=-1)
 
     def features_jac(self, s: np.ndarray) -> np.ndarray:
         """Per-feature state gradients, shape (feature_dim, n)."""
         s = np.asarray(s, dtype=float)
-        if self.kind == _QUAD:
-            J = np.zeros((self.feature_dim(), self.n))
-            J[1 : 1 + self.n] = np.eye(self.n)
-            for row, (i, j) in enumerate(self._pairs(), start=1 + self.n):
-                J[row, i] += s[j]
-                J[row, j] += s[i]
-            return J
-        phi_c = self.features(s)[1:]
-        diffs = self.centers - s
         J = np.zeros((self.feature_dim(), self.n))
-        J[1:] = (phi_c[:, None] * diffs) / self.lengthscale**2
+        J[1 : 1 + self.n] = np.eye(self.n)
+        for row, (i, j) in enumerate(self._pairs(), start=1 + self.n):
+            J[row, i] += s[j]
+            J[row, j] += s[i]
         return J
 
     def value(self, s: np.ndarray) -> float | np.ndarray:
@@ -355,43 +250,24 @@ class ValueModel:
 
     def value_grad(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self.kind == _QUAD:
-            g = self.weights[1 : 1 + self.n].copy()
-            w = self.weights[1 + self.n :]
-            for wij, (i, j) in zip(w, self._pairs()):
-                g[i] += wij * s[j]
-                g[j] += wij * s[i]
-            return g
-        phi_c = self.features(s)[1:]
-        diffs = self.centers - s
-        return (self.weights[1:] * phi_c) @ diffs / self.lengthscale**2
+        g = self.weights[1 : 1 + self.n].copy()
+        w = self.weights[1 + self.n :]
+        for wij, (i, j) in zip(w, self._pairs()):
+            g[i] += wij * s[j]
+            g[j] += wij * s[i]
+        return g
 
     def value_hess(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.kind == _QUAD:
-            Hm = np.zeros((self.n, self.n))
-            w = self.weights[1 + self.n :]
-            for wij, (i, j) in zip(w, self._pairs()):
-                # the i == j case correctly lands 2*w_ii on the diagonal
-                Hm[i, j] += wij
-                Hm[j, i] += wij
-            return Hm
-        phi_c = self.features(s)[1:]
-        diffs = self.centers - s
-        ell2 = self.lengthscale**2
         Hm = np.zeros((self.n, self.n))
-        for wj, pj, d in zip(self.weights[1:], phi_c, diffs):
-            Hm += wj * pj * (np.outer(d, d) / ell2 - np.eye(self.n)) / ell2
+        w = self.weights[1 + self.n :]
+        for wij, (i, j) in zip(w, self._pairs()):
+            # the i == j case correctly lands 2*w_ii on the diagonal
+            Hm[i, j] += wij
+            Hm[j, i] += wij
         return Hm
 
 
-def fit_value_function(
-    states: np.ndarray,
-    returns: np.ndarray,
-    kind: str = _QUAD,
-    centers: np.ndarray | None = None,
-    lengthscale: float | None = None,
-) -> ValueModel:
+def fit_value_function(states: np.ndarray, returns: np.ndarray) -> ValueModel:
     """Least-squares fit of a ValueModel to (state, return) pairs.
 
     A rank-deficient feature matrix falls back to a ridge solve (1e-8) and
@@ -406,14 +282,7 @@ def fit_value_function(
     if not np.all(np.isfinite(returns)) or not np.all(np.isfinite(states)):
         raise ValueError("non-finite dataset entry")
     n = states.shape[1]
-    if kind == _RBF:
-        if centers is None or lengthscale is None:
-            raise ValueError("rbf model needs centers and lengthscale")
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    elif kind != _QUAD:
-        raise ValueError(f"unknown value model kind {kind!r}")
-    probe = ValueModel(kind=kind, n=n, weights=np.zeros(1), centers=centers, lengthscale=lengthscale)
-    X = probe.features(states)
+    X = ValueModel(n=n, weights=np.zeros(1)).features(states)
     w, _, rank, _ = np.linalg.lstsq(X, returns, rcond=None)
     ridged = False
     if rank < X.shape[1]:
@@ -421,41 +290,4 @@ def fit_value_function(
         log.warning("value fit: rank-deficient features (%d < %d), using ridge", rank, X.shape[1])
         w = np.linalg.solve(X.T @ X + 1e-8 * np.eye(X.shape[1]), X.T @ returns)
     rmse = float(np.sqrt(np.mean((X @ w - returns) ** 2)))
-    return ValueModel(
-        kind=kind,
-        n=n,
-        weights=w,
-        centers=centers,
-        lengthscale=lengthscale,
-        rmse=rmse,
-        ridged=ridged,
-    )
-
-
-def perturbed_cost_exploration(spec: OCPSpec, scale: float, seed: int) -> OCPSpec:
-    """Copy of the spec whose stage cost gains a seeded linear input bonus.
-
-    Adds c'u with ||c|| <= scale, leaving dynamics and every constraint
-    callback untouched, so exploration cannot leave the feasible set.  The
-    term has no learnable-parameter dependence: phi-derivative callbacks pass
-    through unchanged.
-    """
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(spec.m)
-    norm = np.linalg.norm(c)
-    if norm > 0:
-        c = c * (scale * rng.uniform() / norm)
-    else:
-        c = np.zeros(spec.m)
-    base_cost, base_grad = spec.stage_cost, spec.stage_grad
-
-    def stage_cost(x, u, pv):
-        return base_cost(x, u, pv) + float(c @ u)
-
-    def stage_grad(x, u, pv):
-        lx, lu = base_grad(x, u, pv)
-        return lx, lu + c
-
-    return replace(spec, stage_cost=stage_cost, stage_grad=stage_grad)
+    return ValueModel(n=n, weights=w, rmse=rmse, ridged=ridged)

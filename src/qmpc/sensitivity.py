@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QmpcError
-from .ocp import OCPSpec, ParameterVector
+from .ocp import OCPSpec, ParameterVector, _rel_dev
 from .solver import (
     KKTPoint,
     SolverSettings,
@@ -211,11 +211,6 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     )
 
 
-def _scaled_max_dev(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(numeric))) if numeric.size else 0.0)
-    return float(np.max(np.abs(analytic - numeric))) / scale
-
-
 def finite_diff_check(
     spec: OCPSpec,
     phi: ParameterVector,
@@ -265,7 +260,5 @@ def finite_diff_check(
         if failed:
             continue
         fd = (np.asarray(cols[0]) - np.asarray(cols[1])) / (2.0 * h)
-        ana = analytic[..., i]
-        dev = _scaled_max_dev(np.atleast_1d(ana), np.atleast_1d(fd))
-        max_dev = max(max_dev, dev)
+        max_dev = max(max_dev, _rel_dev(analytic[..., i], fd))
     return max_dev

@@ -5,6 +5,7 @@ The two case studies run once each through the shipped configuration files
 this module is the slow part of the suite.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -24,11 +25,13 @@ from qmpc.solver import mpc_policy, mpc_qvalue
 from tests.conftest import A2, B2, GAMMA, Q2, R2
 
 REPO = Path(__file__).resolve().parents[1]
-# Outputs of configs/cstr_vfmpc.yaml (metrics.csv without wall_time), kept to
-# make numerical drift visible: reruns agree byte for byte, but a change that
+# Outputs of configs/cstr_vfmpc.yaml and of configs/lq_reinforce.yaml reduced
+# to 2 repetitions x 3 iterations (metrics.csv without wall_time), kept to make
+# numerical drift visible: reruns agree byte for byte, but a change that
 # reorders floating-point operations can shift the numbers and keep every
 # verdict.
 CSTR_REFERENCE = REPO / "tests" / "reference" / "cstr_vfmpc"
+LQ_REFERENCE = REPO / "tests" / "reference" / "lq_reinforce"
 REF_RTOL, REF_ATOL = 1e-9, 1e-12
 
 
@@ -269,20 +272,33 @@ def _csv_cells(text: str, drop_last: bool = False):
     return rows[0], [[_cell(c) for c in row] for row in rows[1:]]
 
 
-def test_reactor_outputs_match_reference(cstr_study):
-    _, out, _ = cstr_study
+def _match_reference(name: str, out: Path, reference: Path, csv_files: list[str]):
     drift: list[float] = []
     got = json.loads((out / "summary.json").read_text())
-    want = json.loads((CSTR_REFERENCE / "summary.json").read_text())
+    want = json.loads((reference / "summary.json").read_text())
     _compare(got, want, "summary", drift)
-    files = ["metrics.csv"] + [f"trajectory_{a}.csv" for a in ("greedy_v", "default_mpc", "vf_mpc")]
-    for name in files:
-        got = _csv_cells((out / name).read_text(), drop_last=name == "metrics.csv")
-        want = _csv_cells((CSTR_REFERENCE / name).read_text())
-        _compare(list(got), list(want), name, drift)
+    for file in ["metrics.csv"] + csv_files:
+        got = _csv_cells((out / file).read_text(), drop_last=file == "metrics.csv")
+        want = _csv_cells((reference / file).read_text())
+        _compare(list(got), list(want), file, drift)
     verdict(
-        "reactor outputs vs committed reference",
+        f"{name} outputs vs committed reference",
         True,
         f"{len(drift)} floats, max relative drift {max(drift):.2e} "
         f"(bound rtol {REF_RTOL:.0e}, atol {REF_ATOL:.0e})",
     )
+
+
+def test_reactor_outputs_match_reference(cstr_study):
+    _, out, _ = cstr_study
+    trajectories = [f"trajectory_{a}.csv" for a in ("greedy_v", "default_mpc", "vf_mpc")]
+    _match_reference("reactor", out, CSTR_REFERENCE, trajectories)
+
+
+def test_lq_outputs_match_reference(tmp_path):
+    cfg = load_config(REPO / "configs" / "lq_reinforce.yaml")
+    cfg = dataclasses.replace(
+        cfg, repetitions=2, learner=dataclasses.replace(cfg.learner, iterations=3)
+    )
+    run_lq_reinforce(cfg, tmp_path)
+    _match_reference("LQ study (2 repetitions x 3 iterations)", tmp_path, LQ_REFERENCE, [])

@@ -84,6 +84,14 @@ def test_unknown_section_key():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("key", ["batch", "perturbation_scale"])
+def test_learner_rejects_unread_keys(key):
+    raw = lq_raw()
+    raw["learner"][key] = 1
+    with pytest.raises(ConfigError, match=f"learner: unknown keys.*{key}"):
+        parse_config(raw)
+
+
 def test_missing_required_key():
     raw = lq_raw()
     del raw["learner"]["sigma0"]

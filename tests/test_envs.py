@@ -252,16 +252,6 @@ def test_cstr_ocp_derivatives_are_consistent(cstr_cfg):
     assert spec.n_ineq == 2 * 2 + 2 * 4
 
 
-def test_cstr_ocp_without_state_constraints(cstr_cfg):
-    spec, _ = build_cstr_ocp(cstr_cfg, H=2, gamma=0.98,
-                             terminal_weights=np.zeros(15),
-                             state_constraints=False)
-    assert spec.n_ineq == 4
-    h = spec.ineq_constraints(np.array([99.0, 99.0, 999.0, 999.0]),
-                              cstr_cfg.reference_input, None)
-    assert h.size == 4  # state rows gone entirely
-
-
 def test_cstr_ocp_rejects_wrong_weight_length(cstr_cfg):
     with pytest.raises(DimensionError, match="feature basis"):
         build_cstr_ocp(cstr_cfg, H=2, gamma=0.98, terminal_weights=np.zeros(7))

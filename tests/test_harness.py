@@ -18,6 +18,7 @@ from qmpc.harness import (
     greedy_value_action,
     read_metrics,
     run_lq_reinforce,
+    run_oracle_suite,
     seed_int,
     train_value_model,
     write_outputs,
@@ -93,7 +94,7 @@ def test_curves_aggregate_over_runs(tmp_path):
 def test_default_terminal_weights_encode_tracking_penalty():
     scale, sp = 4.0, 0.9
     w = default_terminal_weights(scale, sp)
-    model = ValueModel(kind="quadratic", n=4, weights=w)
+    model = ValueModel(n=4, weights=w)
     rng = np.random.default_rng(0)
     for _ in range(10):
         s = rng.uniform([0.1, 0.3, 100.0, 100.0], [2.5, 1.0, 150.0, 150.0])
@@ -107,8 +108,7 @@ def test_default_terminal_weights_encode_tracking_penalty():
 def test_greedy_action_chases_the_value_model():
     cfg = make_cstr_config(w_move=[0.0, 0.0])
     # value = T_K: the hottest jacket wins, so pick the least heat removal
-    vmodel = ValueModel(kind="quadratic", n=4,
-                        weights=np.concatenate([[0.0, 0, 0, 0, 1.0], np.zeros(10)]))
+    vmodel = ValueModel(n=4, weights=np.concatenate([[0.0, 0, 0, 0, 1.0], np.zeros(10)]))
     grid = _action_grid(cfg, 3)
     a = greedy_value_action(cfg, vmodel, np.array([0.8, 0.5, 135.0, 125.0]),
                             cfg.reference_input, grid, 0.98)
@@ -118,7 +118,7 @@ def test_greedy_action_chases_the_value_model():
 
 def test_greedy_policy_threads_and_resets_a_prev():
     cfg = make_cstr_config()
-    vmodel = ValueModel(kind="quadratic", n=4, weights=np.zeros(15))
+    vmodel = ValueModel(n=4, weights=np.zeros(15))
     policy = GreedyValuePolicy(cfg, vmodel, _action_grid(cfg, 3), 0.98)
     np.testing.assert_array_equal(policy._a_prev, cfg.reference_input)
     a1 = policy(np.array([0.8, 0.5, 135.0, 125.0]))
@@ -211,3 +211,15 @@ def test_lq_study_reruns_identically(tmp_path):
 
     assert strip_wall(dir1) == strip_wall(dir2)
     assert (dir1 / "curves.csv").read_text() == (dir2 / "curves.csv").read_text()
+
+
+# ---------------------------------------------------------------------------
+# oracle suite
+
+
+def test_oracle_suite_redraws_unsolvable_lq_instances(tmp_path, caplog):
+    # seed 10 draws an LQ instance with no stabilizing Riccati solution
+    with caplog.at_level("INFO", logger="qmpc.harness"):
+        summary = run_oracle_suite(tmp_path, seed=10)
+    assert "LQ draw 1 not solvable, redrawing" in caplog.text
+    assert summary["riccati_max_residual"] <= 1e-8

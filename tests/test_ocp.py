@@ -11,7 +11,6 @@ from qmpc.ocp import (
     ParameterVector,
     build_lq_ocp,
     eval_open_loop,
-    lq_matrices,
     validate_spec,
 )
 from qmpc.solver import mpc_qvalue, solve_ocp
@@ -103,15 +102,6 @@ def test_builder_shape_checks():
         build_lq_ocp(A2, B2, Q2, R2, Q2, H=2, gamma=0.9, u_lo=[-1.0])
     with pytest.raises(ValueError, match="input box is empty"):
         build_lq_ocp(A2, B2, Q2, R2, Q2, H=2, gamma=0.9, u_lo=[1.0], u_hi=[-1.0])
-
-
-def test_lq_matrices_unpacks_layout(lq2_ocp):
-    _, phi = lq2_ocp
-    A, B, Q, R, P = lq_matrices(phi, 2, 1)
-    np.testing.assert_array_equal(A, A2)
-    np.testing.assert_array_equal(B, B2)
-    np.testing.assert_array_equal(Q, Q2)
-    np.testing.assert_array_equal(R, R2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +267,45 @@ def test_validate_flags_wrong_dynamics_jacobian_block(lq2_ocp):
     findings = validate_spec(dataclasses.replace(spec, dynamics_jac=skewed), phi)
     assert any(f.startswith("dynamics_jac[u]:") for f in findings)
     assert all(not f.startswith("dynamics_jac[x]:") for f in findings)
+
+
+def test_validate_flags_wrong_inequality_phi_derivative(lq2):
+    A, B, Qc, Rc, gamma, P, _ = lq2
+    spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=3, gamma=gamma, u_lo=[-1.0], u_hi=[1.0])
+    assert validate_spec(spec, phi) == []
+    orig = spec.ineq_jac_phi_vp
+
+    def skewed(x, u, pv, mu):
+        dx, du = orig(x, u, pv, mu)
+        return dx, du + 0.1
+
+    findings = validate_spec(dataclasses.replace(spec, ineq_jac_phi_vp=skewed), phi)
+    assert any(f.startswith("ineq_jac_phi_vp[u]:") for f in findings)
+    assert all(not f.startswith("ineq_jac_phi_vp[x]:") for f in findings)
+
+
+@pytest.mark.parametrize("scale, flagged", [(1.0, False), (0.0, True)])
+def test_validate_checks_equality_phi_derivative(lq2_ocp, scale, flagged):
+    # g = Q_00 * u: its u-Jacobian moves with phi, so d(g_u'mu)/dphi = mu at Q_00
+    spec, phi = lq2_ocp
+    iq, p = phi.layout["Q"][0], phi.size
+
+    def at_q00(v):
+        out = np.zeros((1, p))
+        out[0, iq] = v
+        return out
+
+    with_eq = dataclasses.replace(
+        spec,
+        n_eq=1,
+        eq_constraints=lambda x, u, pv: pv.phi[iq] * u,
+        eq_jac=lambda x, u, pv: (np.zeros((1, 2)), np.full((1, 1), pv.phi[iq])),
+        eq_phi=lambda x, u, pv: at_q00(u[0]),
+        eq_jac_phi_vp=lambda x, u, pv, mu: (np.zeros((2, p)), at_q00(scale * mu[0])),
+    )
+    findings = validate_spec(with_eq, phi)
+    assert any(f.startswith("eq_jac_phi_vp[u]:") for f in findings) == flagged
+    assert all(not f.startswith(("eq_jac[", "eq_phi", "eq_jac_phi_vp[x]")) for f in findings)
 
 
 def test_validate_flags_per_stage_dynamics(lq2_ocp):

@@ -1,4 +1,4 @@
-"""TD learning on the MPC Q-function, REINFORCE, value fitting, exploration."""
+"""TD learning on the MPC Q-function, REINFORCE, value fitting."""
 
 import dataclasses
 
@@ -9,17 +9,13 @@ from qmpc import dp
 from qmpc.envs import LQEnv, LQEnvConfig
 from qmpc.errors import QmpcError
 from qmpc.mdp import Transition, episode_rng
-from qmpc.ocp import build_lq_ocp, validate_spec
+from qmpc.ocp import build_lq_ocp
 from qmpc.rl import (
     GaussianMPCPolicy,
-    LearnerConfig,
-    ReplayBuffer,
     RunningBaseline,
     ValueModel,
     fit_value_function,
     gradient_step,
-    perturbed_cost_exploration,
-    q_learning_update,
     reinforce_gradient,
     td_loss_and_grad,
 )
@@ -106,17 +102,6 @@ def test_td_rejects_empty_batch(lq2_ocp):
     spec, phi = lq2_ocp
     with pytest.raises(ValueError, match="empty batch"):
         td_loss_and_grad(spec, phi, [], gamma=0.9)
-
-
-def test_q_learning_update_zero_rate_is_identity(lq2):
-    A, B, Qc, Rc, gamma, P, K = lq2
-    spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=2, gamma=gamma)
-    buf = ReplayBuffer(64)
-    buf.extend(lq_batch((A, B, Qc, Rc), 16, seed=3))
-    cfg = LearnerConfig(alpha=0.0, gamma=gamma, batch=8)
-    phi_new, loss = q_learning_update(spec, phi, buf, cfg, np.random.default_rng(0))
-    np.testing.assert_array_equal(phi_new.phi, phi.phi)
-    assert loss <= 1e-10
 
 
 def test_terminal_weight_learns_from_fixed_model():
@@ -218,6 +203,7 @@ def test_reinforce_baseline_absorbs_reward_offsets():
     class Shifted:
         def __init__(self, inner, c):
             self.inner, self.c = inner, c
+            self.n, self.m = inner.n, inner.m
 
         def reset(self, rng):
             return self.inner.reset(rng)
@@ -321,22 +307,12 @@ def test_fit_input_validation():
         fit_value_function(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError, match="non-finite"):
         fit_value_function(np.zeros((2, 2)), np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="unknown value model kind"):
-        fit_value_function(np.zeros((2, 2)), np.zeros(2), kind="spline")
-    with pytest.raises(ValueError, match="centers"):
-        fit_value_function(np.zeros((2, 2)), np.zeros(2), kind="rbf")
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "rbf"])
-def test_value_model_derivatives_match_fd(kind):
+def test_value_model_derivatives_match_fd():
     rng = np.random.default_rng(2)
     n = 3
-    if kind == "rbf":
-        centers = rng.normal(size=(5, n))
-        model = ValueModel(kind=kind, n=n, weights=rng.normal(size=6),
-                          centers=centers, lengthscale=0.8)
-    else:
-        model = ValueModel(kind=kind, n=n, weights=rng.normal(size=10))
+    model = ValueModel(n=n, weights=rng.normal(size=10))
     s = rng.normal(size=n)
     h = 1e-6
     fd_grad = np.zeros(n)
@@ -354,15 +330,10 @@ def test_value_model_derivatives_match_fd(kind):
     np.testing.assert_allclose(model.features_jac(s), fd_feat, atol=1e-6)
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "rbf"])
-def test_value_model_features_batch_equals_per_state(kind):
+def test_value_model_features_batch_equals_per_state():
     rng = np.random.default_rng(3)
     n = 4
-    if kind == "rbf":
-        model = ValueModel(kind=kind, n=n, weights=rng.normal(size=7),
-                           centers=rng.normal(size=(6, n)), lengthscale=0.9)
-    else:
-        model = ValueModel(kind=kind, n=n, weights=rng.normal(size=15))
+    model = ValueModel(n=n, weights=rng.normal(size=15))
     S = rng.normal(size=(2, 5, n))
     feats = model.features(S)
     assert feats.shape == (2, 5, model.feature_dim())
@@ -374,87 +345,3 @@ def test_value_model_features_batch_equals_per_state(kind):
         values, [[model.value(s) for s in row] for row in S], rtol=1e-12, atol=1e-12
     )
     assert isinstance(model.value(S[0, 0]), float)
-
-
-# ---------------------------------------------------------------------------
-# exploration by cost perturbation
-
-
-def test_zero_scale_perturbation_changes_nothing(lq2_ocp):
-    spec, phi = lq2_ocp
-    pert = perturbed_cost_exploration(spec, scale=0.0, seed=4)
-    s = np.array([0.8, -0.6])
-    a0, _ = mpc_policy(spec, phi, s)
-    a1, _ = mpc_policy(pert, phi, s)
-    np.testing.assert_allclose(a1, a0, atol=1e-12)
-
-
-def test_perturbation_touches_only_the_stage_cost(lq2_ocp):
-    spec, phi = lq2_ocp
-    pert = perturbed_cost_exploration(spec, scale=0.5, seed=4)
-    assert pert.dynamics is spec.dynamics
-    assert pert.stage_phi is spec.stage_phi
-    assert pert.terminal_cost is spec.terminal_cost
-    # the bonus is linear in u and state-independent
-    u = np.array([0.3])
-    d1 = pert.stage_cost(np.zeros(2), u, phi) - spec.stage_cost(np.zeros(2), u, phi)
-    d2 = pert.stage_cost(np.ones(2), u, phi) - spec.stage_cost(np.ones(2), u, phi)
-    assert d1 == pytest.approx(d2, abs=1e-12)
-    assert pert.stage_cost(np.zeros(2), 2 * u, phi) == pytest.approx(
-        spec.stage_cost(np.zeros(2), 2 * u, phi) + 2 * d1, abs=1e-12
-    )
-    # gradients stay consistent with the perturbed cost
-    assert validate_spec(pert, phi) == []
-
-
-def test_perturbation_moves_the_policy(lq2_ocp):
-    spec, phi = lq2_ocp
-    pert = perturbed_cost_exploration(spec, scale=0.5, seed=4)
-    s = np.array([0.8, -0.6])
-    a0, _ = mpc_policy(spec, phi, s)
-    a1, _ = mpc_policy(pert, phi, s)
-    assert np.max(np.abs(a1 - a0)) > 1e-6
-    with pytest.raises(ValueError, match="scale"):
-        perturbed_cost_exploration(spec, scale=-0.1, seed=4)
-
-
-# ---------------------------------------------------------------------------
-# replay buffer and config
-
-
-def make_tr(i):
-    return Transition(s=np.array([float(i)]), a=np.zeros(1), r=0.0,
-                      s_next=np.array([float(i)]))
-
-
-def test_replay_buffer_fifo_eviction():
-    buf = ReplayBuffer(3)
-    buf.extend(make_tr(i) for i in range(5))
-    assert len(buf) == 3
-    kept = sorted(tr.s[0] for tr in buf.sample(100, np.random.default_rng(0)))
-    assert set(kept) == {2.0, 3.0, 4.0}
-
-
-def test_replay_buffer_seeded_sampling():
-    buf = ReplayBuffer(8)
-    buf.extend(make_tr(i) for i in range(8))
-    pick = lambda seed: [tr.s[0] for tr in buf.sample(4, np.random.default_rng(seed))]
-    assert pick(1) == pick(1)
-    with pytest.raises(ValueError, match="capacity"):
-        ReplayBuffer(0)
-    with pytest.raises(ValueError, match="empty"):
-        ReplayBuffer(2).sample(1, np.random.default_rng(0))
-
-
-def test_learner_config_sigma_schedule():
-    cfg = LearnerConfig(alpha=0.1, gamma=0.9, sigma0=0.4, sigma_decay=0.5,
-                        sigma_min=0.05)
-    assert cfg.sigma_at(0) == 0.4
-    assert cfg.sigma_at(1) == 0.2
-    assert cfg.sigma_at(10) == 0.05  # floors out
-    with pytest.raises(ValueError, match="alpha"):
-        LearnerConfig(alpha=-0.1, gamma=0.9)
-    with pytest.raises(ValueError):
-        LearnerConfig(alpha=0.1, gamma=1.5)
-    with pytest.raises(ValueError, match="sigma"):
-        LearnerConfig(alpha=0.1, gamma=0.9, sigma_decay=0.0)
