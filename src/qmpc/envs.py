@@ -327,7 +327,8 @@ def build_cstr_ocp(
     (the move penalty is anchored to the reference input so the stage cost
     stays a pure state-input function).  Terminal cost is the negated
     reward-sign quadratic value model defined by ``terminal_weights`` — its
-    weights form the single learnable segment "V".  Inequalities put box
+    weights form the single learnable segment "V", so the stage, dynamics and
+    inequality phi-derivatives are left None.  Inequalities put box
     constraints on inputs and states.
 
     Returns (spec, phi0) with phi0 holding the terminal weights.
@@ -364,12 +365,6 @@ def build_cstr_ocp(
         hxx[1, 1] = 2.0 * wt
         return hxx, np.zeros((n, m)), np.diag(2.0 * wm)
 
-    def stage_phi(x, u, pv):
-        return np.zeros(p)
-
-    def stage_grad_phi(x, u, pv):
-        return np.zeros((n, p)), np.zeros((m, p))
-
     def terminal_cost(x, pv):
         return -vmodel(pv).value(x)
 
@@ -391,12 +386,6 @@ def build_cstr_ocp(
     def dynamics_jac(x, u, pv):
         return cstr_discrete_jac(cfg, x, u)
 
-    def dynamics_phi(x, u, pv):
-        return np.zeros((n, p))
-
-    def dynamics_jac_phi_vp(x, u, pv, lam):
-        return np.zeros((n, p)), np.zeros((m, p))
-
     rows_u = np.vstack([np.eye(m), -np.eye(m)])
     off_u = np.concatenate([-cfg.input_hi, cfg.input_lo])
     rows_x = np.vstack([np.eye(n), -np.eye(n)])
@@ -411,12 +400,6 @@ def build_cstr_ocp(
         hu = np.vstack([rows_u, np.zeros((rows_x.shape[0], m))])
         return hx, hu
 
-    def ineq_phi(x, u, pv):
-        return np.zeros((n_ineq, p))
-
-    def ineq_jac_phi_vp(x, u, pv, mu):
-        return np.zeros((n, p)), np.zeros((m, p))
-
     spec = OCPSpec(
         H=H,
         n=n,
@@ -426,8 +409,6 @@ def build_cstr_ocp(
         stage_cost=stage_cost,
         stage_grad=stage_grad,
         stage_hess=stage_hess,
-        stage_phi=stage_phi,
-        stage_grad_phi=stage_grad_phi,
         terminal_cost=terminal_cost,
         terminal_grad=terminal_grad,
         terminal_hess=terminal_hess,
@@ -435,14 +416,10 @@ def build_cstr_ocp(
         terminal_grad_phi=terminal_grad_phi,
         dynamics=dynamics,
         dynamics_jac=dynamics_jac,
-        dynamics_phi=dynamics_phi,
-        dynamics_jac_phi_vp=dynamics_jac_phi_vp,
         dynamics_hess_vp=None,  # Gauss-Newton treatment of the reactor model
         n_ineq=n_ineq,
         ineq_constraints=ineq_constraints,
         ineq_jac=ineq_jac,
-        ineq_phi=ineq_phi,
-        ineq_jac_phi_vp=ineq_jac_phi_vp,
         u_init=cfg.reference_input.copy(),
     )
     return spec, phi0

@@ -6,8 +6,8 @@ All callbacks take a :class:`ParameterVector` so the same spec can be re-solved
 as parameters are learned.  The canonical problem is
 
     minimize   sum_k w_k * l(x_k, u_k, phi)  +  w_H * V(x_H, phi)
-    subject to x_{k+1} = f(x_k, u_k, phi),  g(x_k, u_k, phi) = 0,
-               h(x_k, u_k, phi) <= 0,       x_0 = s  (and optionally u_0 = a),
+    subject to x_{k+1} = f(x_k, u_k, phi),  h(x_k, u_k, phi) <= 0,
+               x_0 = s  (and optionally u_0 = a),
 
 with w_k = gamma^k when in-horizon discounting is on, else w_k = 1.  The
 objective is a cost: smaller is better.
@@ -95,6 +95,11 @@ class ParameterVector:
 class OCPSpec:
     """Immutable description of a parametric OCP; callbacks must be pure.
 
+    Ten callbacks are required: the stage cost with ``stage_grad`` and
+    ``stage_hess``, the terminal cost with ``terminal_grad``,
+    ``terminal_hess``, ``terminal_phi`` and ``terminal_grad_phi``, and the two
+    dynamics callbacks.
+
     The two dynamics callbacks are batched: they take states X (..., n) and
     inputs U (..., m) with broadcast-compatible leading axes, so the solver
     evaluates all H stages in one call.
@@ -106,17 +111,31 @@ class OCPSpec:
     callbacks return, for p = phi.size:
       stage_grad      -> (l_x (n,), l_u (m,))
       stage_hess      -> (l_xx (n,n), l_xu (n,m), l_uu (m,m))
-      stage_phi       -> dl/dphi (p,)
-      stage_grad_phi  -> (d l_x/dphi (n,p), d l_u/dphi (m,p))
       terminal_grad   -> V_x (n,)
       terminal_hess   -> V_xx (n,n)
       terminal_phi    -> dV/dphi (p,)
       terminal_grad_phi -> d V_x/dphi (n,p)
+
+    Stage inequalities h(x, u, phi) <= 0 have n_ineq rows; with n_ineq > 0,
+    ``ineq_constraints`` -> h (n_ineq,) and ``ineq_jac`` ->
+    (h_x (n_ineq,n), h_u (n_ineq,m)) are required.
+
+    The phi-derivatives of the stage cost, the dynamics and the inequalities
+    are optional.  None means "this term does not depend on phi": the
+    sensitivities skip it, and ``validate_spec`` still checks that the parent
+    callback does not move with phi.
+      stage_phi       -> dl/dphi (p,)
+      stage_grad_phi  -> (d l_x/dphi (n,p), d l_u/dphi (m,p))
       dynamics_phi    -> df/dphi (n,p)
       dynamics_jac_phi_vp(x,u,phi,lam) -> (d(f_x'lam)/dphi (n,p), d(f_u'lam)/dphi (m,p))
-      dynamics_hess_vp(x,u,phi,lam) -> (n+m, n+m) sum_i lam_i * hess f_i,
-          or None to request a Gauss-Newton (curvature-free) treatment
-      eq_* / ineq_*   -> analogous, with constraint rows in place of f rows.
+      ineq_phi        -> dh/dphi (n_ineq,p)
+      ineq_jac_phi_vp(x,u,phi,mu) -> (d(h_x'mu)/dphi (n,p), d(h_u'mu)/dphi (m,p))
+
+    ``dynamics_hess_vp(x,u,phi,lam)`` -> (n+m, n+m) sum_i lam_i * hess f_i is
+    the dynamics curvature.  A callback that returns zeros declares a linear
+    model, so the Lagrangian Hessian is exact; None requests a Gauss-Newton
+    treatment that drops the curvature, and the sensitivities then mark their
+    results approximate.
     """
 
     H: int
@@ -127,8 +146,6 @@ class OCPSpec:
     stage_cost: Callable
     stage_grad: Callable
     stage_hess: Callable
-    stage_phi: Callable
-    stage_grad_phi: Callable
     terminal_cost: Callable
     terminal_grad: Callable
     terminal_hess: Callable
@@ -136,14 +153,11 @@ class OCPSpec:
     terminal_grad_phi: Callable
     dynamics: Callable
     dynamics_jac: Callable
-    dynamics_phi: Callable
-    dynamics_jac_phi_vp: Callable
+    stage_phi: Callable | None = None
+    stage_grad_phi: Callable | None = None
+    dynamics_phi: Callable | None = None
+    dynamics_jac_phi_vp: Callable | None = None
     dynamics_hess_vp: Callable | None = None
-    n_eq: int = 0
-    eq_constraints: Callable | None = None
-    eq_jac: Callable | None = None
-    eq_phi: Callable | None = None
-    eq_jac_phi_vp: Callable | None = None
     n_ineq: int = 0
     ineq_constraints: Callable | None = None
     ineq_jac: Callable | None = None
@@ -161,10 +175,10 @@ class OCPSpec:
             raise DimensionError("u_init must have shape (m,)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
-        if (self.n_eq > 0) != (self.eq_constraints is not None):
-            raise ValueError("n_eq inconsistent with eq_constraints")
         if (self.n_ineq > 0) != (self.ineq_constraints is not None):
             raise ValueError("n_ineq inconsistent with ineq_constraints")
+        if self.n_ineq > 0 and self.ineq_jac is None:
+            raise ValueError("n_ineq > 0 requires ineq_jac")
 
     def stage_weights(self) -> tuple[np.ndarray, float]:
         """(w_0..w_{H-1}, w_H): gamma powers, or all ones when discounting is off."""
@@ -180,7 +194,6 @@ class OpenLoopPlan:
     x_seq: np.ndarray
     u_seq: np.ndarray
     cost: float
-    g_vals: np.ndarray | None = None
     h_vals: np.ndarray | None = None
 
     def __post_init__(self):
@@ -349,19 +362,8 @@ def build_lq_ocp(
         def ineq_jac(x, u, pv):
             return np.zeros((n_ineq, n)), Hu.copy()
 
-        def ineq_phi(x, u, pv):
-            return np.zeros((n_ineq, p))
-
-        def ineq_jac_phi_vp(x, u, pv, mu):
-            return np.zeros((n, p)), np.zeros((m, p))
-
-        kwargs = dict(
-            n_ineq=n_ineq,
-            ineq_constraints=ineq_constraints,
-            ineq_jac=ineq_jac,
-            ineq_phi=ineq_phi,
-            ineq_jac_phi_vp=ineq_jac_phi_vp,
-        )
+        # the bounds do not depend on phi: no ineq_phi / ineq_jac_phi_vp
+        kwargs = dict(n_ineq=n_ineq, ineq_constraints=ineq_constraints, ineq_jac=ineq_jac)
 
     spec = OCPSpec(
         H=H,
@@ -406,13 +408,11 @@ def eval_open_loop(
     w, wH = spec.stage_weights()
     xs = [x0]
     cost = 0.0
-    g_rows, h_rows = [], []
+    h_rows = []
     x = x0
     for k in range(spec.H):
         u = u_seq[k]
         cost += w[k] * spec.stage_cost(x, u, phi)
-        if spec.eq_constraints is not None:
-            g_rows.append(np.asarray(spec.eq_constraints(x, u, phi), dtype=float))
         if spec.ineq_constraints is not None:
             h_rows.append(np.asarray(spec.ineq_constraints(x, u, phi), dtype=float))
         x = np.asarray(spec.dynamics(x, u, phi), dtype=float)
@@ -424,7 +424,6 @@ def eval_open_loop(
         x_seq=np.stack(xs),
         u_seq=u_seq,
         cost=float(cost),
-        g_vals=np.stack(g_rows) if g_rows else None,
         h_vals=np.stack(h_rows) if h_rows else None,
     )
 
@@ -465,6 +464,11 @@ def _rel_dev(analytic, numeric) -> float:
     return diff / denom
 
 
+def _call(fn, *args):
+    """fn(*args), or None for an optional callback that is not supplied."""
+    return None if fn is None else fn(*args)
+
+
 def validate_spec(
     spec: OCPSpec, phi: ParameterVector, rng: np.random.Generator | None = None
 ) -> list[str]:
@@ -474,7 +478,9 @@ def validate_spec(
     phi) is compared against central differences of its parent callback at
     relative tolerance 1e-4; each ``*_jac_phi_vp`` against differences of its
     Jacobian's transpose times a random multiplier, d(f_x'lam)/dphi for the
-    dynamics and d(h_x'mu)/dphi for the constraints.  The state returned by
+    dynamics and d(h_x'mu)/dphi for the constraints.  A phi-derivative left
+    None counts as an exact zero and is checked the same way, so a spec that
+    declares None for a term that reads phi gets a finding.  The state returned by
     ``dynamics_jac`` must equal ``dynamics``, and both dynamics callbacks,
     given all probe points as one batch, must return the per-point results
     (relative tolerance 1e-12).
@@ -482,9 +488,11 @@ def validate_spec(
     """
     rng = np.random.default_rng(0) if rng is None else rng
     findings: list[str] = []
-    n, m, p = spec.n, spec.m, phi.size
+    n, m = spec.n, spec.m
 
     def check(name, analytic, numeric):
+        if analytic is None:  # a None phi-derivative declares an exact zero
+            analytic, name = np.zeros(np.shape(numeric)), f"{name} (None)"
         dev = _rel_dev(analytic, numeric)
         shape_a = np.shape(analytic)
         shape_n = np.shape(numeric)
@@ -504,10 +512,10 @@ def validate_spec(
         check("stage_hess[uu]", luu, _fd_jac(lambda v: spec.stage_grad(x, v, phi)[1], u))
         check(
             "stage_phi",
-            spec.stage_phi(x, u, phi),
+            _call(spec.stage_phi, x, u, phi),
             _fd_grad(lambda v: spec.stage_cost(x, u, phi.with_vector(v)), phi.phi),
         )
-        dlx, dlu = spec.stage_grad_phi(x, u, phi)
+        dlx, dlu = _call(spec.stage_grad_phi, x, u, phi) or (None, None)
         check(
             "stage_grad_phi[x]",
             dlx,
@@ -539,11 +547,11 @@ def validate_spec(
         check("dynamics_jac[u]", fu, _fd_jac(lambda v: spec.dynamics(x, v, phi), u))
         check(
             "dynamics_phi",
-            spec.dynamics_phi(x, u, phi),
+            _call(spec.dynamics_phi, x, u, phi),
             _fd_jac(lambda v: spec.dynamics(x, u, phi.with_vector(v)), phi.phi),
         )
         lam = rng.normal(size=n)
-        djx, dju = spec.dynamics_jac_phi_vp(x, u, phi, lam)
+        djx, dju = _call(spec.dynamics_jac_phi_vp, x, u, phi, lam) or (None, None)
         check(
             "dynamics_jac_phi_vp[x]",
             djx,
@@ -570,30 +578,29 @@ def validate_spec(
                 hv,
                 _fd_jac(lambda v: _fd_grad(lam_f, v, 1e-5), np.concatenate([x, u]), 1e-5),
             )
-        for kind, rows in (("ineq", spec.n_ineq), ("eq", spec.n_eq)):
-            if rows == 0:
-                continue
-            cons, jac = getattr(spec, f"{kind}_constraints"), getattr(spec, f"{kind}_jac")
-            cx, cu = jac(x, u, phi)
-            check(f"{kind}_jac[x]", cx, _fd_jac(lambda v: cons(v, u, phi), x))
-            check(f"{kind}_jac[u]", cu, _fd_jac(lambda v: cons(x, v, phi), u))
-            check(
-                f"{kind}_phi",
-                getattr(spec, f"{kind}_phi")(x, u, phi),
-                _fd_jac(lambda v: cons(x, u, phi.with_vector(v)), phi.phi),
-            )
-            mu = rng.normal(size=rows)
-            dcx, dcu = getattr(spec, f"{kind}_jac_phi_vp")(x, u, phi, mu)
-            check(
-                f"{kind}_jac_phi_vp[x]",
-                dcx,
-                _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[0].T @ mu, phi.phi),
-            )
-            check(
-                f"{kind}_jac_phi_vp[u]",
-                dcu,
-                _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[1].T @ mu, phi.phi),
-            )
+        if spec.n_ineq == 0:
+            continue
+        cons, jac = spec.ineq_constraints, spec.ineq_jac
+        cx, cu = jac(x, u, phi)
+        check("ineq_jac[x]", cx, _fd_jac(lambda v: cons(v, u, phi), x))
+        check("ineq_jac[u]", cu, _fd_jac(lambda v: cons(x, v, phi), u))
+        check(
+            "ineq_phi",
+            _call(spec.ineq_phi, x, u, phi),
+            _fd_jac(lambda v: cons(x, u, phi.with_vector(v)), phi.phi),
+        )
+        mu = rng.normal(size=spec.n_ineq)
+        dcx, dcu = _call(spec.ineq_jac_phi_vp, x, u, phi, mu) or (None, None)
+        check(
+            "ineq_jac_phi_vp[x]",
+            dcx,
+            _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[0].T @ mu, phi.phi),
+        )
+        check(
+            "ineq_jac_phi_vp[u]",
+            dcu,
+            _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[1].T @ mu, phi.phi),
+        )
 
     X = np.stack([x for x, _ in points])
     U = np.stack([u for _, u in points])

@@ -81,7 +81,8 @@ def _regularity(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> str:
 
 def _phi_jacobians(st: _Stacker, spec: OCPSpec, phi, z, s, lam, mu):
     """Explicit phi-derivatives: of the Lagrangian z-gradient (nz, p), of the
-    equality rows (n_eq_rows, p), and of the inequality rows (n_in, p)."""
+    equality rows (n_eq_rows, p), and of the inequality rows (n_in, p).
+    A phi-derivative callback that is None contributes nothing."""
     p = phi.size
     xs = st.states(z, s)
     us = st.inputs(z)
@@ -90,28 +91,27 @@ def _phi_jacobians(st: _Stacker, spec: OCPSpec, phi, z, s, lam, mu):
     Cphi = np.zeros((st.n_eq_rows, p))
     Hphi = np.zeros((st.n_in_rows, p))
     for k in range(spec.H):
-        dlx, dlu = spec.stage_grad_phi(xs[k], us[k], phi)
-        lam_k = lam[k * spec.n : (k + 1) * spec.n]
-        djx, dju = spec.dynamics_jac_phi_vp(xs[k], us[k], phi, lam_k)
-        if k >= 1:
-            Mz[st.xs(k)] += w[k] * dlx - djx
-        Mz[st.us(k)] += w[k] * dlu - dju
-        Cphi[k * spec.n : (k + 1) * spec.n] = -spec.dynamics_phi(xs[k], us[k], phi)
-        if spec.n_eq:
-            base = st.n_dyn + k * spec.n_eq
-            lam_g = lam[base : base + spec.n_eq]
-            dgx, dgu = spec.eq_jac_phi_vp(xs[k], us[k], phi, lam_g)
+        if spec.stage_grad_phi is not None:
+            dlx, dlu = spec.stage_grad_phi(xs[k], us[k], phi)
             if k >= 1:
-                Mz[st.xs(k)] += dgx
-            Mz[st.us(k)] += dgu
-            Cphi[base : base + spec.n_eq] = spec.eq_phi(xs[k], us[k], phi)
-        if spec.n_ineq:
-            mu_k = mu[k * spec.n_ineq : (k + 1) * spec.n_ineq]
-            dhx, dhu = spec.ineq_jac_phi_vp(xs[k], us[k], phi, mu_k)
+                Mz[st.xs(k)] += w[k] * dlx
+            Mz[st.us(k)] += w[k] * dlu
+        if spec.dynamics_jac_phi_vp is not None:
+            lam_k = lam[k * spec.n : (k + 1) * spec.n]
+            djx, dju = spec.dynamics_jac_phi_vp(xs[k], us[k], phi, lam_k)
+            if k >= 1:
+                Mz[st.xs(k)] -= djx
+            Mz[st.us(k)] -= dju
+        if spec.dynamics_phi is not None:
+            Cphi[k * spec.n : (k + 1) * spec.n] = -spec.dynamics_phi(xs[k], us[k], phi)
+        rows = slice(k * spec.n_ineq, (k + 1) * spec.n_ineq)
+        if spec.ineq_jac_phi_vp is not None:
+            dhx, dhu = spec.ineq_jac_phi_vp(xs[k], us[k], phi, mu[rows])
             if k >= 1:
                 Mz[st.xs(k)] += dhx
             Mz[st.us(k)] += dhu
-            Hphi[k * spec.n_ineq : (k + 1) * spec.n_ineq] = spec.ineq_phi(xs[k], us[k], phi)
+        if spec.ineq_phi is not None:
+            Hphi[rows] = spec.ineq_phi(xs[k], us[k], phi)
     Mz[st.xs(spec.H)] += wH * spec.terminal_grad_phi(xs[spec.H], phi)
     return Mz, Cphi, Hphi
 
@@ -121,8 +121,9 @@ def _stage_phi_sum(st: _Stacker, spec: OCPSpec, phi, z, s):
     us = st.inputs(z)
     w, wH = spec.stage_weights()
     out = np.zeros(phi.size)
-    for k in range(spec.H):
-        out += w[k] * spec.stage_phi(xs[k], us[k], phi)
+    if spec.stage_phi is not None:
+        for k in range(spec.H):
+            out += w[k] * spec.stage_phi(xs[k], us[k], phi)
     out += wH * spec.terminal_phi(xs[spec.H], phi)
     return out
 

@@ -49,9 +49,9 @@ class SolverSettings:
 class KKTPoint:
     """Primal-dual solution of one OCP solve.
 
-    lam covers dynamics rows, then user equality rows, then pin rows; mu covers
-    the stacked stage inequalities (H blocks of n_ineq rows).  active_set
-    indexes rows of mu that are tight.
+    lam covers the dynamics rows, then the pin rows; mu covers the stacked
+    stage inequalities (H blocks of n_ineq rows).  active_set indexes rows of
+    mu that are tight.
     """
 
     z: np.ndarray
@@ -82,9 +82,8 @@ class _Stacker:
         H, n, m = spec.H, spec.n, spec.m
         self.nz = H * n + H * m
         self.n_dyn = H * n
-        self.n_g = H * spec.n_eq
         self.n_pin = m if pinned else 0
-        self.n_eq_rows = self.n_dyn + self.n_g + self.n_pin
+        self.n_eq_rows = self.n_dyn + self.n_pin
         self.n_in_rows = H * spec.n_ineq
 
     def xs(self, k: int) -> slice:
@@ -151,16 +150,6 @@ def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
     else:
         f = spec.dynamics(xs[:-1], us, phi)
     c[: st.n_dyn] = (xs[1:] - f).ravel()
-    if spec.n_eq:
-        base = st.n_dyn
-        for k in range(H):
-            rows = slice(base + k * spec.n_eq, base + (k + 1) * spec.n_eq)
-            c[rows] = spec.eq_constraints(xs[k], us[k], phi)
-            if with_jac:
-                gx, gu = spec.eq_jac(xs[k], us[k], phi)
-                if k >= 1:
-                    C[rows, st.xs(k)] = gx
-                C[rows, st.us(k)] = gu
     if st.n_pin:
         rows = slice(st.n_eq_rows - spec.m, st.n_eq_rows)
         c[rows] = us[0] - pinned_a

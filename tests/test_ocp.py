@@ -77,8 +77,9 @@ def test_spec_rejects_bad_scalars(lq2_ocp):
         dataclasses.replace(spec, H=0)
     with pytest.raises(ValueError, match="gamma"):
         dataclasses.replace(spec, gamma=1.0)
-    with pytest.raises(ValueError, match="n_eq"):
-        dataclasses.replace(spec, n_eq=2)
+    bounded, _ = build_lq_ocp(A2, B2, Q2, R2, Q2, H=2, gamma=GAMMA, u_lo=[-1.0], u_hi=[1.0])
+    with pytest.raises(ValueError, match="ineq_jac"):
+        dataclasses.replace(bounded, ineq_jac=None)
     with pytest.raises(DimensionError, match="u_init"):
         dataclasses.replace(spec, u_init=np.zeros(3))
 
@@ -132,7 +133,7 @@ def test_open_loop_zero_everything(lq2_ocp):
     plan = eval_open_loop(spec, phi, np.zeros(2), np.zeros((spec.H, 1)))
     assert plan.cost == 0.0
     np.testing.assert_array_equal(plan.x_seq, np.zeros((spec.H + 1, 2)))
-    assert plan.g_vals is None and plan.h_vals is None
+    assert plan.h_vals is None
 
 
 def test_open_loop_prices_solver_plan(lq2_ocp):
@@ -273,39 +274,28 @@ def test_validate_flags_wrong_inequality_phi_derivative(lq2):
     A, B, Qc, Rc, gamma, P, _ = lq2
     spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=3, gamma=gamma, u_lo=[-1.0], u_hi=[1.0])
     assert validate_spec(spec, phi) == []
-    orig = spec.ineq_jac_phi_vp
+    # the bounds do not move with phi, so both derivatives are left out
+    assert spec.ineq_phi is None and spec.ineq_jac_phi_vp is None
+    n, m, p = spec.n, spec.m, phi.size
 
     def skewed(x, u, pv, mu):
-        dx, du = orig(x, u, pv, mu)
-        return dx, du + 0.1
+        return np.zeros((n, p)), np.full((m, p), 0.1)
 
     findings = validate_spec(dataclasses.replace(spec, ineq_jac_phi_vp=skewed), phi)
     assert any(f.startswith("ineq_jac_phi_vp[u]:") for f in findings)
     assert all(not f.startswith("ineq_jac_phi_vp[x]:") for f in findings)
 
 
-@pytest.mark.parametrize("scale, flagged", [(1.0, False), (0.0, True)])
-def test_validate_checks_equality_phi_derivative(lq2_ocp, scale, flagged):
-    # g = Q_00 * u: its u-Jacobian moves with phi, so d(g_u'mu)/dphi = mu at Q_00
+@pytest.mark.parametrize(
+    "field", ["stage_phi", "stage_grad_phi", "dynamics_phi", "dynamics_jac_phi_vp"]
+)
+def test_validate_flags_none_phi_derivative_of_phi_dependent_term(lq2_ocp, field):
+    # the LQ cost reads Q and R and its model reads A and B, so declaring
+    # "no phi dependence" for either is caught by finite differences
     spec, phi = lq2_ocp
-    iq, p = phi.layout["Q"][0], phi.size
-
-    def at_q00(v):
-        out = np.zeros((1, p))
-        out[0, iq] = v
-        return out
-
-    with_eq = dataclasses.replace(
-        spec,
-        n_eq=1,
-        eq_constraints=lambda x, u, pv: pv.phi[iq] * u,
-        eq_jac=lambda x, u, pv: (np.zeros((1, 2)), np.full((1, 1), pv.phi[iq])),
-        eq_phi=lambda x, u, pv: at_q00(u[0]),
-        eq_jac_phi_vp=lambda x, u, pv, mu: (np.zeros((2, p)), at_q00(scale * mu[0])),
-    )
-    findings = validate_spec(with_eq, phi)
-    assert any(f.startswith("eq_jac_phi_vp[u]:") for f in findings) == flagged
-    assert all(not f.startswith(("eq_jac[", "eq_phi", "eq_jac_phi_vp[x]")) for f in findings)
+    findings = validate_spec(dataclasses.replace(spec, **{field: None}), phi)
+    assert findings
+    assert all(f.startswith(field) and "(None)" in f for f in findings)
 
 
 def test_validate_flags_per_stage_dynamics(lq2_ocp):

@@ -1,8 +1,13 @@
 """Active-set QP core: frozen examples, KKT certificates, random cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmpc.qp import qp_solve
 
@@ -209,3 +214,93 @@ def test_random_qps_match_scipy():
         )
         assert ref.success, f"trial {trial}: oracle failed"
         assert np.max(np.abs(sol.primal - ref.x)) <= 1e-5, f"trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# property tests against brute-force active-set enumeration
+
+# half-integer entries make ties, dependent rows and degenerate vertices common
+GRID = st.integers(-4, 4).map(lambda v: v / 2.0)
+
+
+@st.composite
+def convex_qps(draw):
+    """Strictly convex QP min 1/2 x'Hx + g'x s.t. A x <= b, feasible at x_v.
+
+    H = D H0 D with a diagonal rescaling D; base rows with zero slack all
+    pass through x_v (a degenerate vertex once more than n of them do); the
+    remaining rows duplicate a base row, rescale one, or are all-zero with a
+    nonnegative right-hand side.
+    """
+    n = draw(st.integers(1, 3))
+    M = draw(arrays(float, (n, n), elements=GRID))
+    d = draw(arrays(float, n, elements=st.sampled_from([0.1, 1.0, 10.0])))
+    H = d[:, None] * (M.T @ M + 0.5 * np.eye(n)) * d[None, :]
+    x_v = draw(arrays(float, n, elements=GRID))
+    g = -H @ (x_v + draw(arrays(float, n, elements=GRID)))
+    n_base = draw(st.integers(0, 4))
+    A = draw(arrays(float, (n_base, n), elements=GRID))
+    b = A @ x_v + draw(arrays(float, n_base, elements=st.sampled_from([0.0, 0.0, 0.5, 2.0])))
+    rows, rhs = list(A), list(b)
+    for _ in range(draw(st.integers(0, 6 - n_base))):
+        kind = draw(st.sampled_from(["duplicate", "rescaled", "zero"]))
+        if kind == "zero" or n_base == 0:
+            rows.append(np.zeros(n))
+            rhs.append(draw(st.sampled_from([0.0, 1.0])))
+        else:
+            i = draw(st.integers(0, n_base - 1))
+            c = 1.0 if kind == "duplicate" else draw(st.sampled_from([0.5, 4.0]))
+            rows.append(c * A[i])
+            rhs.append(c * b[i])
+    order = draw(st.permutations(range(len(rows))))
+    A = np.array([rows[i] for i in order]).reshape(len(rows), n)
+    b = np.array([rhs[i] for i in order])
+    return H, g, A, b
+
+
+def brute_force_optimum(H, g, A, b, tol=1e-9):
+    """Least objective over the equality QPs of every subset of rows that is
+    consistent and whose minimizer is feasible for all rows."""
+    n = g.size
+    best = np.inf
+    for k in range(b.size + 1):
+        for S in itertools.combinations(range(b.size), k):
+            A_S, b_S = A[list(S)], b[list(S)]
+            if k:
+                x_p = np.linalg.lstsq(A_S, b_S, rcond=None)[0]
+                if np.max(np.abs(A_S @ x_p - b_S)) > tol * (1.0 + np.max(np.abs(b_S))):
+                    continue
+                _, sv, Vt = np.linalg.svd(A_S)
+                rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
+                Z = Vt[rank:].T
+            else:
+                x_p, Z = np.zeros(n), np.eye(n)
+            x = x_p
+            if Z.shape[1]:
+                x = x_p - Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (H @ x_p + g))
+            if b.size and np.max(A @ x - b) > tol * (1.0 + np.max(np.abs(b))):
+                continue
+            best = min(best, 0.5 * x @ H @ x + g @ x)
+    return best
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(convex_qps())
+def test_qp_matches_brute_force_active_sets(qp):
+    H, g, A, b = qp
+    rows = b.size
+    sol = qp_solve(H, g, None, None, A if rows else None, b if rows else None)
+    assert sol.status == "converged"
+    kkt_certificate(sol, H, g, Aineq=A if rows else None, bineq=b if rows else None)
+    x = sol.primal
+    active = sol.active_set
+    # the reported active set is exact: its rows are tight, and every row off
+    # it carries a zero multiplier
+    if active.size:
+        assert np.max(np.abs(A[active] @ x - b[active])) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+    assert np.all(sol.dual_ineq >= 0.0)
+    off = np.setdiff1d(np.arange(rows), active)
+    assert np.all(sol.dual_ineq[off] == 0.0)
+    q_best = brute_force_optimum(H, g, A, b)
+    q_sol = 0.5 * x @ H @ x + g @ x
+    assert q_sol == pytest.approx(q_best, rel=1e-8, abs=1e-9)

@@ -104,8 +104,6 @@ def test_dead_parameter_entry_is_structurally_zero():
             np.broadcast_to(0.5 * np.eye(1), x.shape[:-1] + (1, 1)),
             np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
         ),
-        dynamics_phi=lambda x, u, pv: np.zeros((1, 3)),
-        dynamics_jac_phi_vp=lambda x, u, pv, lam: (np.zeros((1, 3)), np.zeros((1, 3))),
         dynamics_hess_vp=lambda x, u, pv, lam: np.zeros((2, 2)),
     )
     s, a = np.array([1.2]), np.array([0.7])
