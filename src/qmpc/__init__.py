@@ -50,7 +50,7 @@ from .mdp import (
     estimate_J,
     rollout,
 )
-from .ocp import OCPSpec, OpenLoopPlan, ParameterVector, build_lq_ocp, eval_open_loop, validate_spec
+from .ocp import OCPSpec, ParameterVector, build_lq_ocp, validate_spec
 from .qp import QPSolution, qp_solve
 from .rl import (
     GaussianMPCPolicy,
@@ -103,10 +103,8 @@ __all__ = [
     "estimate_J",
     "rollout",
     "OCPSpec",
-    "OpenLoopPlan",
     "ParameterVector",
     "build_lq_ocp",
-    "eval_open_loop",
     "validate_spec",
     "QPSolution",
     "qp_solve",

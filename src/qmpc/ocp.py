@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError
 
 FD_REL_TOL = 1e-4
 
@@ -185,23 +185,6 @@ class OCPSpec:
         if self.discount_in_horizon:
             return self.gamma ** np.arange(self.H), self.gamma**self.H
         return np.ones(self.H), 1.0
-
-
-@dataclass(frozen=True)
-class OpenLoopPlan:
-    """A forward-simulated plan: states (H+1, n), inputs (H, m), total cost."""
-
-    x_seq: np.ndarray
-    u_seq: np.ndarray
-    cost: float
-    h_vals: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.x_seq.shape[0] != self.u_seq.shape[0] + 1:
-            raise DimensionError(
-                f"plan needs H+1 states for H inputs, got {self.x_seq.shape[0]} "
-                f"and {self.u_seq.shape[0]}"
-            )
 
 
 def _sym_quad_grad_wrt_w(x: np.ndarray) -> np.ndarray:
@@ -389,43 +372,6 @@ def build_lq_ocp(
         **kwargs,
     )
     return spec, phi0
-
-
-def eval_open_loop(
-    spec: OCPSpec, phi: ParameterVector, x0: np.ndarray, u_seq: np.ndarray
-) -> OpenLoopPlan:
-    """Simulate an input sequence through the model and price it.
-
-    Constraints are evaluated and reported, not enforced.
-
-    Raises:
-        DivergenceError: non-finite state during the rollout, with step index.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    u_seq = np.asarray(u_seq, dtype=float).reshape(spec.H, spec.m)
-    if x0.shape != (spec.n,):
-        raise DimensionError(f"x0 shape {x0.shape}, expected ({spec.n},)")
-    w, wH = spec.stage_weights()
-    xs = [x0]
-    cost = 0.0
-    h_rows = []
-    x = x0
-    for k in range(spec.H):
-        u = u_seq[k]
-        cost += w[k] * spec.stage_cost(x, u, phi)
-        if spec.ineq_constraints is not None:
-            h_rows.append(np.asarray(spec.ineq_constraints(x, u, phi), dtype=float))
-        x = np.asarray(spec.dynamics(x, u, phi), dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state while rolling out step {k}", step=k)
-        xs.append(x)
-    cost += wH * spec.terminal_cost(x, phi)
-    return OpenLoopPlan(
-        x_seq=np.stack(xs),
-        u_seq=u_seq,
-        cost=float(cost),
-        h_vals=np.stack(h_rows) if h_rows else None,
-    )
 
 
 def _fd_grad(fun, x, step_scale=1e-6):

@@ -1,9 +1,12 @@
 """Dense convex QP solver with a primal active-set method.
 
 Solves
-    min_x  1/2 x'Hx + g'x   s.t.  Aeq x = beq,  Aineq x <= bineq
+    min_x  1/2 x'Hx + g'x   s.t.  Aineq x <= bineq
 with the sign convention that stationarity reads
-    Hx + g + Aeq' lambda + Aineq' mu = 0,   mu >= 0.
+    Hx + g + Aineq' mu = 0,   mu >= 0.
+
+The QP has inequality rows only: the SQP eliminates its equality rows (the
+dynamics and pin rows) by condensing before it calls here.
 
 The working set is iterated in the classic primal fashion: take the step that
 solves the current equality-constrained subproblem, cut it at the first
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog
 
 from .errors import DimensionError
@@ -38,7 +40,6 @@ class QPSolution:
     """
 
     primal: np.ndarray
-    dual_eq: np.ndarray
     dual_ineq: np.ndarray
     active_set: np.ndarray
     status: str
@@ -73,20 +74,17 @@ def _null_basis(A, nz):
     return Vt[rank:].T
 
 
-def _phase1_point(Aeq, beq, Aineq, bineq, tol):
+def _phase1_point(Aineq, bineq, tol):
     """Feasible point via an LP with one violation slack; None when infeasible."""
-    nz = Aeq.shape[1] if Aeq.size else Aineq.shape[1]
-    # variables (x, t): min t  s.t.  Aeq x = beq,  Aineq x - t <= bineq,  t >= 0
+    nz = Aineq.shape[1]
+    # variables (x, t): min t  s.t.  Aineq x - t <= bineq,  t >= 0
     c = np.zeros(nz + 1)
     c[-1] = 1.0
     A_ub = np.hstack([Aineq, -np.ones((Aineq.shape[0], 1))])
-    A_eq = np.hstack([Aeq, np.zeros((Aeq.shape[0], 1))]) if Aeq.shape[0] else None
     res = linprog(
         c,
         A_ub=A_ub,
         b_ub=bineq,
-        A_eq=A_eq,
-        b_eq=beq if Aeq.shape[0] else None,
         bounds=[(None, None)] * nz + [(0, None)],
         method="highs",
     )
@@ -100,8 +98,6 @@ def _phase1_point(Aeq, beq, Aineq, bineq, tol):
 def qp_solve(
     Hm: np.ndarray,
     gv: np.ndarray,
-    Aeq: np.ndarray | None = None,
-    beq: np.ndarray | None = None,
     Aineq: np.ndarray | None = None,
     bineq: np.ndarray | None = None,
     active0: np.ndarray | None = None,
@@ -121,18 +117,15 @@ def qp_solve(
     nz = g.size
     if H.shape != (nz, nz):
         raise DimensionError(f"H shape {H.shape} inconsistent with g size {nz}")
-    Aeq = np.zeros((0, nz)) if Aeq is None else np.atleast_2d(np.asarray(Aeq, dtype=float))
-    beq = np.zeros(0) if beq is None else np.atleast_1d(np.asarray(beq, dtype=float))
     Ain = np.zeros((0, nz)) if Aineq is None else np.atleast_2d(np.asarray(Aineq, dtype=float))
     bin_ = np.zeros(0) if bineq is None else np.atleast_1d(np.asarray(bineq, dtype=float))
-    if Aeq.shape != (beq.size, nz) or Ain.shape != (bin_.size, nz):
+    if Ain.shape != (bin_.size, nz):
         raise DimensionError("constraint matrix/vector shapes inconsistent")
     n_in = bin_.size
 
     def fail(status, iters=0):
         return QPSolution(
             primal=np.full(nz, np.nan),
-            dual_eq=np.full(beq.size, np.nan),
             dual_ineq=np.full(n_in, np.nan),
             active_set=np.zeros(0, dtype=int),
             status=status,
@@ -141,9 +134,6 @@ def qp_solve(
 
     # Degenerate all-zero rows carry no direction; they are either trivially
     # satisfiable or certify infeasibility outright.
-    for i in range(beq.size):
-        if np.linalg.norm(Aeq[i]) < ZERO_ROW_TOL and abs(beq[i]) > tol:
-            return fail("infeasible")
     live_in = np.array(
         [i for i in range(n_in) if np.linalg.norm(Ain[i]) >= ZERO_ROW_TOL], dtype=int
     )
@@ -151,35 +141,24 @@ def qp_solve(
         if i not in live_in and bin_[i] < -tol:
             return fail("infeasible")
 
-    # Reduce the equality system to independent rows; inconsistent dependent
-    # rows certify infeasibility.
-    if beq.size:
-        x_eq = np.linalg.lstsq(Aeq, beq, rcond=None)[0]
-        if np.max(np.abs(Aeq @ x_eq - beq)) > 1e3 * tol * (1.0 + np.max(np.abs(beq))):
-            return fail("infeasible")
-        _, _, piv = scipy.linalg.qr(Aeq.T, mode="economic", pivoting=True)
-        rank = np.linalg.matrix_rank(Aeq)
-        eq_rows = np.sort(piv[:rank])
-    else:
-        eq_rows = np.zeros(0, dtype=int)
-    A_eq_red = Aeq[eq_rows]
-    b_eq_red = beq[eq_rows]
+    if nz == 0:
+        # nothing to choose (a fully pinned horizon): the zero rows above
+        # decided feasibility
+        return QPSolution(np.zeros(0), np.zeros(n_in), np.zeros(0, dtype=int), "converged", 0)
 
     A_live = Ain[live_in]
     b_live = bin_[live_in]
 
-    # The method assumes H is PSD on the equality null space (callers
-    # regularize first).  An indefinite reduced Hessian means the objective is
-    # unbounded along some feasible ray unless inequalities happen to block
-    # it; that case is outside the contract and reported as diverged.
-    Z0 = _null_basis(A_eq_red, nz)
-    if Z0.shape[1]:
-        red_eigs = np.linalg.eigvalsh(Z0.T @ H @ Z0)
-        if red_eigs[0] < -1e-9 * max(1.0, abs(red_eigs[-1])):
-            return fail("diverged")
+    # The method assumes H is PSD (callers regularize first).  An indefinite
+    # H means the objective is unbounded along some ray unless inequalities
+    # happen to block it; that case is outside the contract and reported as
+    # diverged.
+    eigs = np.linalg.eigvalsh(H)
+    if eigs[0] < -1e-9 * max(1.0, abs(eigs[-1])):
+        return fail("diverged")
 
     # Starting point, in order of preference: the subproblem optimum on the
-    # warm-started working set, the equality-only optimum when feasible, and
+    # warm-started working set, the unconstrained optimum when feasible, and
     # finally a phase-1 LP point.
     x = None
     work: list[int] = []
@@ -190,9 +169,7 @@ def qp_solve(
             if pos.size:
                 warm.append(int(pos[0]))
         if warm:
-            A_act0 = np.vstack([A_eq_red, A_live[warm]])
-            b_act0 = np.concatenate([b_eq_red, b_live[warm]])
-            x_w, _, resid_w = _solve_kkt(H, A_act0, g, b_act0)
+            x_w, _, resid_w = _solve_kkt(H, A_live[warm], g, b_live[warm])
             if (
                 resid_w <= 1e3 * tol
                 and np.all(np.isfinite(x_w))
@@ -201,19 +178,16 @@ def qp_solve(
                 x = x_w
                 work = warm
     if x is None:
-        x_eq_opt, lam_eq, resid = _solve_kkt(H, A_eq_red, g, b_eq_red)
+        x_free, _, resid = _solve_kkt(H, np.zeros((0, nz)), g, np.zeros(0))
         if (
             resid <= 1e3 * tol
-            and np.all(np.isfinite(x_eq_opt))
-            and (A_live.size == 0 or np.max(A_live @ x_eq_opt - b_live) <= tol)
+            and np.all(np.isfinite(x_free))
+            and (A_live.size == 0 or np.max(A_live @ x_free - b_live) <= tol)
         ):
-            x = x_eq_opt
+            x = x_free
     if x is None:
         if A_live.size:
-            x = _phase1_point(A_eq_red, b_eq_red, A_live, b_live, tol)
-        elif beq.size:
-            # Equalities alone are solvable (consistency was checked above).
-            x = np.linalg.lstsq(A_eq_red, b_eq_red, rcond=None)[0]
+            x = _phase1_point(A_live, b_live, tol)
         else:
             # No constraints at all: every point is feasible; start at the
             # origin and let the pivot loop certify unboundedness if any.
@@ -223,8 +197,6 @@ def qp_solve(
 
     seen: set[frozenset] = set()
     bland = False
-    lam_eq = np.zeros(len(eq_rows))
-    mu_work = np.zeros(0)
 
     for it in range(1, max_pivots + 1):
         key = frozenset(work)
@@ -232,9 +204,9 @@ def qp_solve(
             bland = True
         seen.add(key)
 
-        A_act = np.vstack([A_eq_red, A_live[work]]) if (len(work) or len(eq_rows)) else np.zeros((0, nz))
+        A_act = A_live[work]
         g_eff = g + H @ x
-        p, y, resid = _solve_kkt(H, A_act, g_eff, np.zeros(A_act.shape[0]))
+        p, mu_work, resid = _solve_kkt(H, A_act, g_eff, np.zeros(len(work)))
 
         if resid > 1e3 * tol or not np.all(np.isfinite(p)):
             # Singular subproblem: look for unblocked descent along the
@@ -270,9 +242,6 @@ def qp_solve(
             work.append(j)
             continue
 
-        lam_eq = y[: len(eq_rows)]
-        mu_work = y[len(eq_rows) :]
-
         # A step counts as zero when it is small relative to the iterate, or
         # when its predicted objective decrease drowns in the float rounding of
         # the objective itself.  On badly scaled data (curvature spreads of
@@ -287,12 +256,9 @@ def qp_solve(
                 mu = np.zeros(n_in)
                 for w, val in zip(work, mu_work):
                     mu[live_in[w]] = max(float(val), 0.0)
-                dual_eq = np.zeros(beq.size)
-                dual_eq[eq_rows] = lam_eq
                 active = np.sort(live_in[np.array(work, dtype=int)]) if work else np.zeros(0, dtype=int)
                 return QPSolution(
                     primal=x,
-                    dual_eq=dual_eq,
                     dual_ineq=mu,
                     active_set=active,
                     status="converged",

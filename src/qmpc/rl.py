@@ -36,16 +36,13 @@ def td_loss_and_grad(
     batch: list[Transition],
     gamma: float,
     settings: SolverSettings | None = None,
-    semi_gradient: bool = True,
 ) -> TDResult:
     """Mean squared TD error of the MPC Q-function over a batch.
 
     For each (s, a, r, s'): Q(s,a) = -(pinned solve at (s,a)) and the target
     is r + gamma * max_a' Q(s', a') with the max evaluated by a free solve at
-    s'.  The default gradient detaches the target (semi-gradient);
-    ``semi_gradient=False`` also differentiates the bootstrap term.  Samples
-    whose solves fail are skipped and counted; an all-skipped batch is an
-    error.
+    s'.  The gradient detaches the target (semi-gradient).  Samples whose
+    solves fail are skipped and counted; an all-skipped batch is an error.
     """
     gamma = check_gamma(gamma)
     if not batch:
@@ -66,11 +63,7 @@ def td_loss_and_grad(
         e = q - target
         losses.append(e * e)
         dq = -grad_q_wrt_params(spec, phi, kkt_pin).grad_value
-        g = 2.0 * e * dq
-        if not semi_gradient:
-            dv = -grad_q_wrt_params(spec, phi, kkt_free).grad_value
-            g -= 2.0 * e * gamma * dv
-        grads.append(g)
+        grads.append(2.0 * e * dq)
     if not losses:
         raise QmpcError(f"all {len(batch)} TD samples failed to solve")
     if skipped:

@@ -25,6 +25,7 @@ from .ocp import OCPSpec, ParameterVector, _rel_dev
 from .solver import (
     KKTPoint,
     SolverSettings,
+    _condense,
     _eval_constraints,
     _lagrangian_hessian,
     _Stacker,
@@ -161,12 +162,14 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
         [ C_A    0      0   ] [ dmu_A ]     [ dh_A/dphi  ]
 
     and returns the u_0 rows of dz/dphi.  A singular system or a failed
-    regularity check yields regularity="degenerate".
+    regularity check yields regularity="degenerate".  The dynamics rows are
+    full rank by construction, so LICQ reduces to full row rank of the active
+    inequality rows on their null space.
     """
     _check_converged(kkt, want_pinned=False)
     st = _Stacker(spec, False)
     z, s, lam, mu = kkt.z, kkt.s, kkt.lam, kkt.mu
-    _, C, _, Hj = _eval_constraints(st, phi, z, s, None)
+    c, C, _, Hj = _eval_constraints(st, phi, z, s, None)
     HL = _lagrangian_hessian(st, phi, z, s, lam)
     Mz, Cphi, Hphi = _phi_jacobians(st, spec, phi, z, s, lam, mu)
 
@@ -187,9 +190,7 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
         K[st.nz + n_lam :, : st.nz] = C_A
     rhs = -np.vstack([Mz, Cphi, Hphi_A])
 
-    # LICQ: the stacked constraint gradients must be independent.
-    Cfull = np.vstack([C, C_A]) if n_act else C
-    if Cfull.size and np.linalg.matrix_rank(Cfull) < Cfull.shape[0]:
+    if n_act and np.linalg.matrix_rank(C_A @ _condense(st, C, c)[0]) < n_act:
         regularity = "degenerate"
 
     try:

@@ -4,9 +4,15 @@ The decision vector stacks z = [x_1..x_H, u_0..u_{H-1}]; the initial state is
 eliminated (x_0 = s enters the data).  Dynamics become equality constraints
 x_{k+1} - f(x_k, u_k, phi) = 0, a pinned first input adds the rows
 u_0 - a = 0, and stage inequalities h(x_k, u_k, phi) <= 0 stack over the
-horizon.  Each SQP iteration solves an active-set QP on the (regularized)
-Lagrangian Hessian and globalizes with a backtracking line search on an l1
-merit function.
+horizon.
+
+Each SQP iteration condenses the linearized dynamics and pin rows (Bock &
+Plitt 1984): the step is p = p0 + Z v, where p0 satisfies those rows and
+Z = [dX/dU; I] spans their null space over the free inputs.  The active-set
+QP in v, on the (regularized) Lagrangian Hessian reduced by Z, carries the
+inequality rows only; the multipliers of the dynamics and pin rows follow
+from stationarity by one transposed triangular solve.  A backtracking line
+search on an l1 merit function globalizes the step.
 
 Solving with a pinned first input prices Q(s, a); the free solve returns the
 receding-horizon policy action u*_0 and its plan.  Both values are costs
@@ -18,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DivergenceError, InfeasibleError, NonConvergenceError
 from .ocp import OCPSpec, ParameterVector
-from .qp import qp_solve, _null_basis
+from .qp import qp_solve
+
+SIGMA0 = 1e-8  # first Hessian shift tried by the regularization
+ARMIJO_C1 = 1e-4  # sufficient-decrease fraction of the line search
+RHO_FACTOR = 2.0  # merit penalty over the largest multiplier
 
 
 @dataclass(frozen=True)
@@ -31,10 +42,7 @@ class SolverSettings:
     kkt_tol: float = 1e-8
     max_sqp_iters: int = 50
     max_qp_pivots: int = 200
-    sigma0: float = 1e-8
-    armijo_c1: float = 1e-4
     alpha_min: float = 1e-10
-    rho_factor: float = 2.0
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverSettings":
@@ -199,20 +207,53 @@ def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
     return HL
 
 
-def _regularize(HL, C_eq, sigma0):
-    """Smallest sigma (doubling from sigma0) making Z'(HL+sigma I)Z positive
-    definite on the equality null space."""
-    Z = _null_basis(C_eq, HL.shape[0])
-    if Z.shape[1] == 0:
-        return HL, 0.0
+def _condense(st: _Stacker, C, c):
+    """Null-space basis Z of the equality rows C and a step p0 with C p0 = -c.
+
+    The state columns C_x of the dynamics rows are unit lower block-triangular
+    (I on the diagonal, -f_x below it), so forward substitution gives
+    Z = [-C_x^-1 C_u; I] over the free inputs (u_1.. when u_0 is pinned) and
+    the states of p0, whose inputs are zero but for a pinned u_0 = -c_pin.
+    """
+    n_dyn, n_pin = st.n_dyn, st.n_pin
+    free = n_dyn + n_pin  # first column of the free inputs
+    Cx = C[:n_dyn, :n_dyn]
+    Z = np.zeros((st.nz, st.nz - free))
+    Z[:n_dyn] = -solve_triangular(Cx, C[:n_dyn, free:], lower=True, unit_diagonal=True)
+    Z[free:] = np.eye(st.nz - free)
+    p0 = np.zeros(st.nz)
+    p0[n_dyn:free] = -c[n_dyn:]
+    p0[:n_dyn] = solve_triangular(
+        Cx, -c[:n_dyn] - C[:n_dyn, n_dyn:free] @ p0[n_dyn:free], lower=True, unit_diagonal=True
+    )
+    return Z, p0
+
+
+def _eq_multipliers(st: _Stacker, C, r):
+    """Multipliers of the dynamics rows, then the pin rows, from stationarity
+    r + C' lam = 0 on the state and u_0 columns, where r = HL p + grad + Hj' mu."""
+    n_dyn = st.n_dyn
+    lam = np.zeros(st.n_eq_rows)
+    lam[:n_dyn] = -solve_triangular(C[:n_dyn, :n_dyn], r[:n_dyn], lower=True, trans="T", unit_diagonal=True)
+    if st.n_pin:
+        u0 = st.us(0)
+        lam[n_dyn:] = -(r[u0] + C[:n_dyn, u0].T @ lam[:n_dyn])
+    return lam
+
+
+def _regularize(HL, Z):
+    """Smallest sigma (doubling from SIGMA0) making Z'(HL+sigma I)Z positive
+    definite; returns HL + sigma I, that reduced Hessian and sigma."""
+    M = Z.T @ HL @ Z
+    ZtZ = Z.T @ Z
     sigma = 0.0
     while sigma < 1e10:
-        M = Z.T @ (HL + sigma * np.eye(HL.shape[0])) @ Z
+        Ms = M + sigma * ZtZ
         try:
-            np.linalg.cholesky(M)
-            return HL + sigma * np.eye(HL.shape[0]), sigma
+            np.linalg.cholesky(Ms)
+            return HL + sigma * np.eye(HL.shape[0]), Ms, sigma
         except np.linalg.LinAlgError:
-            sigma = sigma0 if sigma == 0.0 else 2.0 * sigma
+            sigma = SIGMA0 if sigma == 0.0 else 2.0 * sigma
     raise DivergenceError("Hessian regularization failed to reach positive definiteness")
 
 
@@ -320,31 +361,30 @@ def solve_ocp(
         if it == cfg.max_sqp_iters:
             break
 
-        HL = _lagrangian_hessian(st, phi, z, s, lam)
-        HL, _sigma = _regularize(HL, C, cfg.sigma0)
+        Z, p0 = _condense(st, C, c)
+        HL, Hz, _sigma = _regularize(_lagrangian_hessian(st, phi, z, s, lam), Z)
         qp = qp_solve(
-            HL,
-            grad,
-            Aeq=C,
-            beq=-c,
-            Aineq=Hj if st.n_in_rows else None,
-            bineq=-h if st.n_in_rows else None,
-            active0=active if active.size else None,
+            Hz,
+            Z.T @ (grad + HL @ p0),
+            Aineq=Hj @ Z,
+            bineq=-h - Hj @ p0,
+            active0=active,
             max_pivots=cfg.max_qp_pivots,
         )
         if qp.status == "infeasible":
             return None, SolveReport("infeasible", it, resid)
         if qp.status in ("diverged", "max_iter"):
             return best[1], SolveReport(qp.status, it, best[0])
-        p = qp.primal
-        lam_new, mu_new = qp.dual_eq, qp.dual_ineq
+        p = p0 + Z @ qp.primal
+        mu_new = qp.dual_ineq
+        lam_new = _eq_multipliers(st, C, HL @ p + grad + Hj.T @ mu_new)
         active = qp.active_set
 
         mult_inf = max(
             np.max(np.abs(lam_new)) if lam_new.size else 0.0,
             np.max(np.abs(mu_new)) if mu_new.size else 0.0,
         )
-        rho = max(rho, cfg.rho_factor * mult_inf + 1e-6)
+        rho = max(rho, RHO_FACTOR * mult_inf + 1e-6)
         m0, viol0 = _merit(F, c, h, rho)
         # model slope of the merit function along p
         D = float(grad @ p) - rho * viol0
@@ -358,7 +398,7 @@ def solve_ocp(
             c_try, _, h_try, _ = _eval_constraints(st, phi, z_try, s, pinned_a, with_jac=False)
             if np.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
-                if m_try <= m0 + cfg.armijo_c1 * alpha * D + slack:
+                if m_try <= m0 + ARMIJO_C1 * alpha * D + slack:
                     break
             alpha *= 0.5
         else:

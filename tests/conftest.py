@@ -1,5 +1,13 @@
 """Shared fixtures: reference systems and environments used across the suite."""
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# the default pool oversubscribes a loaded machine, and the suite's
+# wall-clock verdicts must not hinge on it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

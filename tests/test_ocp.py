@@ -1,16 +1,15 @@
-"""OCP container, LQ builder, open-loop evaluation, and self-validation."""
+"""OCP container, LQ builder, and self-validation."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from qmpc.errors import DimensionError, DivergenceError
+from qmpc.errors import DimensionError
 from qmpc.ocp import (
     OCPSpec,
     ParameterVector,
     build_lq_ocp,
-    eval_open_loop,
     validate_spec,
 )
 from qmpc.solver import mpc_qvalue, solve_ocp
@@ -122,66 +121,6 @@ def test_pinned_qvalue_decomposes_when_input_is_inert():
     x1 = A @ s
     expected = float(s @ Qc @ s + a @ Rc @ a + 0.9 * x1 @ P @ x1)
     assert q == pytest.approx(expected, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# open-loop evaluation
-
-
-def test_open_loop_zero_everything(lq2_ocp):
-    spec, phi = lq2_ocp
-    plan = eval_open_loop(spec, phi, np.zeros(2), np.zeros((spec.H, 1)))
-    assert plan.cost == 0.0
-    np.testing.assert_array_equal(plan.x_seq, np.zeros((spec.H + 1, 2)))
-    assert plan.h_vals is None
-
-
-def test_open_loop_prices_solver_plan(lq2_ocp):
-    spec, phi = lq2_ocp
-    s = np.array([0.7, -1.2])
-    kkt, report = solve_ocp(spec, phi, s)
-    assert report.status == "converged"
-    u_seq = kkt.z[spec.H * spec.n:].reshape(spec.H, spec.m)
-    plan = eval_open_loop(spec, phi, s, u_seq)
-    assert plan.cost == pytest.approx(kkt.objective, abs=1e-8)
-    np.testing.assert_allclose(
-        plan.x_seq[1:].ravel(), kkt.z[: spec.H * spec.n], atol=1e-8
-    )
-
-
-def test_open_loop_reports_bound_rows():
-    spec, phi = build_lq_ocp(A2, B2, Q2, R2, Q2, H=3, gamma=GAMMA,
-                             u_lo=[-1.0], u_hi=[1.0])
-    u_seq = np.array([[2.0], [0.0], [-0.5]])
-    plan = eval_open_loop(spec, phi, np.zeros(2), u_seq)
-    assert plan.h_vals.shape == (3, 2)
-    # rows are [u - hi, lo - u]; the first input violates the upper bound by 1
-    np.testing.assert_allclose(plan.h_vals[0], [1.0, -3.0])
-    np.testing.assert_allclose(plan.h_vals[2], [-1.5, -0.5])
-
-
-def test_open_loop_does_not_mutate_inputs(lq2_ocp):
-    spec, phi = lq2_ocp
-    before = phi.phi.copy()
-    x0 = np.array([0.1, 0.2])
-    eval_open_loop(spec, phi, x0, np.ones((spec.H, 1)))
-    np.testing.assert_array_equal(phi.phi, before)
-    np.testing.assert_array_equal(x0, [0.1, 0.2])
-
-
-def test_open_loop_shape_check(lq2_ocp):
-    spec, phi = lq2_ocp
-    with pytest.raises(DimensionError, match="x0 shape"):
-        eval_open_loop(spec, phi, np.zeros(3), np.zeros((spec.H, 1)))
-
-
-def test_open_loop_flags_divergence():
-    spec, phi = build_lq_ocp([[2.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],
-                             H=3, gamma=0.9)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as exc:
-            eval_open_loop(spec, phi, np.array([1e308]), np.zeros((3, 1)))
-    assert exc.value.step == 0
 
 
 # ---------------------------------------------------------------------------

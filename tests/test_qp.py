@@ -12,13 +12,10 @@ from hypothesis.extra.numpy import arrays
 from qmpc.qp import qp_solve
 
 
-def kkt_certificate(sol, H, g, Aeq=None, beq=None, Aineq=None, bineq=None, tol=1e-8):
+def kkt_certificate(sol, H, g, Aineq=None, bineq=None, tol=1e-8):
     """Assert stationarity, feasibility, dual signs, and complementarity."""
     x = sol.primal
     grad = H @ x + g
-    if Aeq is not None:
-        grad = grad + Aeq.T @ sol.dual_eq
-        assert np.max(np.abs(Aeq @ x - beq)) <= tol
     if Aineq is not None:
         grad = grad + Aineq.T @ sol.dual_ineq
         slack = bineq - Aineq @ x
@@ -33,24 +30,15 @@ def kkt_certificate(sol, H, g, Aeq=None, beq=None, Aineq=None, bineq=None, tol=1
 
 
 def test_unconstrained_stationarity():
-    sol = qp_solve(np.eye(2), np.array([-1.0, -2.0]), None, None, None, None)
+    sol = qp_solve(np.eye(2), np.array([-1.0, -2.0]))
     assert sol.status == "converged"
     assert np.allclose(sol.primal, [1.0, 2.0], atol=1e-10)
     assert sol.active_set.size == 0
 
 
-def test_equality_projection():
-    Aeq = np.array([[1.0, 1.0]])
-    sol = qp_solve(np.eye(2), np.zeros(2), Aeq, np.array([1.0]), None, None)
-    assert sol.status == "converged"
-    assert np.allclose(sol.primal, [0.5, 0.5], atol=1e-10)
-    assert np.allclose(sol.dual_eq, [-0.5], atol=1e-10)
-
-
 def test_scalar_clamped_inequality():
     sol = qp_solve(
         np.array([[1.0]]), np.array([-2.0]),
-        None, None,
         np.array([[1.0]]), np.array([1.0]),
     )
     assert sol.status == "converged"
@@ -63,29 +51,22 @@ def test_scalar_clamped_inequality():
 # status channels
 
 
-def test_infeasible_equalities():
-    Aeq = np.array([[1.0, 0.0], [1.0, 0.0]])
-    sol = qp_solve(np.eye(2), np.zeros(2), Aeq, np.array([0.0, 1.0]), None, None)
-    assert sol.status == "infeasible"
-
-
 def test_infeasible_inequalities():
     Aineq = np.array([[1.0], [-1.0]])  # x <= -1 and -x <= -2  ->  x >= 2
-    sol = qp_solve(np.eye(1), np.zeros(1), None, None, Aineq, np.array([-1.0, -2.0]))
+    sol = qp_solve(np.eye(1), np.zeros(1), Aineq, np.array([-1.0, -2.0]))
     assert sol.status == "infeasible"
 
 
 def test_unbounded_below():
     H = np.diag([1.0, 0.0])  # flat direction with linear drift
-    sol = qp_solve(H, np.array([0.0, -1.0]), None, None, None, None)
+    sol = qp_solve(H, np.array([0.0, -1.0]))
     assert sol.status == "diverged"
 
 
 def test_unbounded_direction_blocked_by_constraint():
     # same flat direction, but an inequality caps it: solvable again
     H = np.diag([1.0, 0.0])
-    sol = qp_solve(H, np.array([0.0, -1.0]), None, None,
-                   np.array([[0.0, 1.0]]), np.array([3.0]))
+    sol = qp_solve(H, np.array([0.0, -1.0]), np.array([[0.0, 1.0]]), np.array([3.0]))
     assert sol.status == "converged"
     assert sol.primal[1] == pytest.approx(3.0, abs=1e-8)
 
@@ -97,9 +78,9 @@ def test_pivot_cap_reports_max_iter():
     g = rng.normal(size=4)
     Aineq = np.vstack([np.eye(4), -np.eye(4)])
     bineq = np.full(8, 0.05)
-    sol = qp_solve(H, g, None, None, Aineq, bineq, max_pivots=1)
+    sol = qp_solve(H, g, Aineq, bineq, max_pivots=1)
     assert sol.status in ("max_iter", "converged")
-    full = qp_solve(H, g, None, None, Aineq, bineq)
+    full = qp_solve(H, g, Aineq, bineq)
     assert full.status == "converged"
 
 
@@ -107,18 +88,19 @@ def test_pivot_cap_reports_max_iter():
 # structural edge cases
 
 
-def test_rank_deficient_consistent_equalities():
-    # duplicated row: consistent, solvable
-    Aeq = np.array([[1.0, 1.0], [2.0, 2.0]])
-    sol = qp_solve(np.eye(2), np.zeros(2), Aeq, np.array([1.0, 2.0]), None, None)
-    assert sol.status == "converged"
-    assert np.allclose(sol.primal, [0.5, 0.5], atol=1e-8)
+def test_zero_variable_qp_checks_its_rows():
+    # a QP with nothing left to choose: only all-zero rows, which decide
+    # feasibility by their right-hand sides alone
+    H, g, A = np.zeros((0, 0)), np.zeros(0), np.zeros((2, 0))
+    sol = qp_solve(H, g, A, np.array([0.0, 1.0]))
+    assert sol.status == "converged" and sol.primal.size == 0
+    assert sol.dual_ineq.tolist() == [0.0, 0.0] and sol.active_set.size == 0
+    assert qp_solve(H, g, A, np.array([0.0, -1.0])).status == "infeasible"
 
 
 def test_zero_inequality_rows_are_pruned():
     Aineq = np.array([[0.0, 0.0], [1.0, 0.0]])
-    sol = qp_solve(np.eye(2), np.array([-3.0, 0.0]), None, None, Aineq,
-                   np.array([5.0, 1.0]))
+    sol = qp_solve(np.eye(2), np.array([-3.0, 0.0]), Aineq, np.array([5.0, 1.0]))
     assert sol.status == "converged"
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -128,9 +110,9 @@ def test_warm_start_reuses_active_set():
     g = np.array([-3.0, -3.0])
     Aineq = np.vstack([np.eye(2), -np.eye(2)])
     bineq = np.array([1.0, 1.0, 0.0, 0.0])
-    cold = qp_solve(H, g, None, None, Aineq, bineq)
+    cold = qp_solve(H, g, Aineq, bineq)
     assert cold.status == "converged"
-    warm = qp_solve(H, g, None, None, Aineq, bineq, active0=cold.active_set)
+    warm = qp_solve(H, g, Aineq, bineq, active0=cold.active_set)
     assert warm.status == "converged"
     assert np.allclose(warm.primal, cold.primal, atol=1e-10)
     assert warm.iterations <= cold.iterations
@@ -139,19 +121,17 @@ def test_warm_start_reuses_active_set():
 def test_certificate_on_mixed_constraints():
     H = np.array([[2.0, 0.5], [0.5, 1.0]])
     g = np.array([1.0, -4.0])
-    Aeq = np.array([[1.0, -1.0]])
-    beq = np.array([0.25])
     Aineq = np.array([[0.0, 1.0], [-1.0, 0.0]])
     bineq = np.array([1.5, 0.0])
-    sol = qp_solve(H, g, Aeq, beq, Aineq, bineq)
+    sol = qp_solve(H, g, Aineq, bineq)
     assert sol.status == "converged"
-    kkt_certificate(sol, H, g, Aeq, beq, Aineq, bineq)
+    kkt_certificate(sol, H, g, Aineq, bineq)
 
 
 def test_tiny_positive_curvature_is_not_unbounded():
     H = np.diag([4.0, 4.0e-10])
     g = np.array([-1.0, -2.0e-10])
-    sol = qp_solve(H, g, None, None, None, None)
+    sol = qp_solve(H, g)
     assert sol.status == "converged"
     assert np.allclose(sol.primal, [0.25, 0.5], atol=1e-6)
 
@@ -167,7 +147,7 @@ def test_badly_scaled_curvature_terminates():
     g = -H @ x_t
     Aineq = np.vstack([np.eye(3), -np.eye(3)])
     bineq = np.full(6, 1.0)
-    sol = qp_solve(H, g, None, None, Aineq, bineq)
+    sol = qp_solve(H, g, Aineq, bineq)
     assert sol.status == "converged"
     x = sol.primal
     assert np.max(np.abs(x)) <= 1.0 + 1e-8
@@ -185,25 +165,15 @@ def test_random_qps_match_scipy():
         g = rng.normal(size=n)
         Aineq = np.vstack([np.eye(n), -np.eye(n)])
         bineq = rng.uniform(0.5, 2.0, size=2 * n)
-        n_eq = int(rng.integers(0, 2))
-        if n_eq:
-            Aeq = rng.normal(size=(n_eq, n))
-            # anchor the equality plane at an interior box point
-            beq = Aeq @ rng.uniform(-0.3, 0.3, size=n)
-        else:
-            Aeq, beq = None, None
 
-        sol = qp_solve(H, g, Aeq, beq, Aineq, bineq)
+        sol = qp_solve(H, g, Aineq, bineq)
         assert sol.status == "converged", f"trial {trial}"
-        kkt_certificate(sol, H, g, Aeq, beq, Aineq, bineq)
+        kkt_certificate(sol, H, g, Aineq, bineq)
 
         cons = [
             {"type": "ineq", "fun": lambda x, A=Aineq, b=bineq: b - A @ x,
              "jac": lambda x, A=Aineq: -A},
         ]
-        if Aeq is not None:
-            cons.append({"type": "eq", "fun": lambda x, A=Aeq, b=beq: A @ x - b,
-                         "jac": lambda x, A=Aeq: A})
         ref = scipy.optimize.minimize(
             lambda x: 0.5 * x @ H @ x + g @ x,
             np.zeros(n),
@@ -289,7 +259,7 @@ def brute_force_optimum(H, g, A, b, tol=1e-9):
 def test_qp_matches_brute_force_active_sets(qp):
     H, g, A, b = qp
     rows = b.size
-    sol = qp_solve(H, g, None, None, A if rows else None, b if rows else None)
+    sol = qp_solve(H, g, A if rows else None, b if rows else None)
     assert sol.status == "converged"
     kkt_certificate(sol, H, g, Aineq=A if rows else None, bineq=b if rows else None)
     x = sol.primal

@@ -68,14 +68,6 @@ def test_td_semi_gradient_by_hand():
     np.testing.assert_allclose(res.grad, [0.0, 0.0, 2.0, 2.0, 0.0], atol=1e-10)
 
 
-def test_td_full_gradient_by_hand():
-    spec, phi, tr = hand_batch_setup()
-    res = td_loss_and_grad(spec, phi, [tr], gamma=0.5, semi_gradient=False)
-    assert res.loss == pytest.approx(1.0, abs=1e-12)
-    # bootstrap term feeds back -2*e*gamma*dV, shifting only the Q entry
-    np.testing.assert_allclose(res.grad, [0.0, 0.0, 1.0, 2.0, 0.0], atol=1e-10)
-
-
 def test_td_batch_mean_is_duplication_invariant(lq2):
     A, B, Qc, Rc, gamma, P, K = lq2
     spec, phi = build_lq_ocp(A, B, Qc, Rc, 2.0 * P, H=2, gamma=gamma)

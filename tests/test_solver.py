@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmpc import dp, solver
 from qmpc.envs import build_cstr_ocp
@@ -280,6 +281,35 @@ def test_one_batched_dynamics_jacobian_per_sqp_iterate(case, lq2_ocp, cstr_cfg, 
     assert set(shapes) == {((spec.H, spec.n), (spec.H, spec.m))}
 
 
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_sqp_runs_no_rank_revealing_factorization(case, lq2, cstr_cfg, monkeypatch):
+    # the dynamics and pin rows are full rank by construction: condensing
+    # them needs triangular solves only, never an SVD, QR, rank or lstsq
+    if case == "lq":
+        A, B, Qc, Rc, gamma, P, K = lq2
+        spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=50, gamma=gamma, u_lo=-1.0, u_hi=1.0)
+        # the unconstrained action -K s = -3 saturates the input bound
+        s, a, settings = 3.0 * K[0] / (K[0] @ K[0]), np.array([0.5]), None
+    else:
+        spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98,
+                                   terminal_weights=np.zeros(15))
+        s, a = np.array([0.8, 0.4, 130.0, 130.0]), np.array([18.0, -4500.0])
+        settings = SolverSettings(kkt_tol=1e-6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank-revealing factorization inside solve_ocp")
+
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "matrix_rank"),
+                        (np.linalg, "lstsq"), (scipy.linalg, "qr")):
+        monkeypatch.setattr(owner, name, forbidden)
+    kkt, report = solve_ocp(spec, phi, s, settings=settings)
+    assert report.status == "converged"
+    if case == "lq":
+        assert kkt.active_set.size and kkt.z[spec.H * spec.n] == pytest.approx(-1.0)
+    _, report = solve_ocp(spec, phi, s, a, settings=settings)
+    assert report.status == "converged"
+
+
 # ---------------------------------------------------------------------------
 # settings
 
@@ -292,5 +322,7 @@ def test_settings_from_dict_roundtrip():
 
 
 def test_settings_from_dict_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown solver settings"):
-        SolverSettings.from_dict({"kkt_tolerance": 1e-6})
+    # the last three are module constants of the solver, not settings
+    for key in ("kkt_tolerance", "sigma0", "armijo_c1", "rho_factor"):
+        with pytest.raises(ValueError, match="unknown solver settings"):
+            SolverSettings.from_dict({key: 1e-6})
