@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .mdp import Trajectory
-from .ocp import OCPSpec, ParameterVector
+from .ocp import OCPSpec, ParameterVector, _matvec, _tile
 
 log = logging.getLogger(__name__)
 
@@ -351,19 +351,21 @@ def build_cstr_ocp(
             f"terminal weights have {p} entries, feature basis needs {expected_dim}"
         )
 
+    # float_power calls libm pow per entry, as (x[1] - sp) ** 2 of one stage's
+    # scalar does; the array ** 2 squares instead and rounds differently
     def stage_cost(x, u, pv):
         du = u - u_ref
-        return float(wt * (x[1] - sp) ** 2 + wm @ du**2)
+        return wt * np.float_power(x[..., 1] - sp, 2) + (wm @ du[..., None] ** 2)[..., 0]
 
     def stage_grad(x, u, pv):
-        gx = np.zeros(n)
-        gx[1] = 2.0 * wt * (x[1] - sp)
+        gx = np.zeros(x.shape)
+        gx[..., 1] = 2.0 * wt * (x[..., 1] - sp)
         return gx, 2.0 * wm * (u - u_ref)
 
     def stage_hess(x, u, pv):
         hxx = np.zeros((n, n))
         hxx[1, 1] = 2.0 * wt
-        return hxx, np.zeros((n, m)), np.diag(2.0 * wm)
+        return _tile(x.shape[:-1], hxx, np.zeros((n, m)), np.diag(2.0 * wm))
 
     def terminal_cost(x, pv):
         return -vmodel(pv).value(x)
@@ -393,12 +395,12 @@ def build_cstr_ocp(
     n_ineq = 2 * m + 2 * n
 
     def ineq_constraints(x, u, pv):
-        return np.concatenate([rows_u @ u + off_u, rows_x @ x + off_x])
+        return np.concatenate([_matvec(rows_u, u) + off_u, _matvec(rows_x, x) + off_x], axis=-1)
 
     def ineq_jac(x, u, pv):
         hx = np.vstack([np.zeros((2 * m, n)), rows_x])
         hu = np.vstack([rows_u, np.zeros((rows_x.shape[0], m))])
-        return hx, hu
+        return _tile(x.shape[:-1], hx, hu)
 
     spec = OCPSpec(
         H=H,

@@ -9,8 +9,8 @@ that rollouts are reproducible and independent across episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Protocol
 
 import numpy as np
 

@@ -15,7 +15,7 @@ objective is a cost: smaller is better.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,13 @@ import numpy as np
 from .errors import DimensionError
 
 FD_REL_TOL = 1e-4
+
+# every callback but the terminal ones takes a batch of stages
+STAGE_CALLBACKS = (
+    "stage_cost", "stage_grad", "stage_hess", "stage_phi", "stage_grad_phi", "dynamics",
+    "dynamics_jac", "dynamics_phi", "dynamics_jac_phi_vp", "dynamics_hess_vp",
+    "ineq_constraints", "ineq_jac", "ineq_phi", "ineq_jac_phi_vp",
+)
 
 
 @dataclass(frozen=True)
@@ -100,39 +107,40 @@ class OCPSpec:
     ``terminal_hess``, ``terminal_phi`` and ``terminal_grad_phi``, and the two
     dynamics callbacks.
 
-    The two dynamics callbacks are batched: they take states X (..., n) and
-    inputs U (..., m) with broadcast-compatible leading axes, so the solver
-    evaluates all H stages in one call.
+    Every stage callback takes a batch of stages, states X (..., n) and
+    inputs U (..., m), and returns its result with the same leading axes, so
+    all H stages take one call; one stage is the batch without leading axes.
+    Multipliers come in with the same leading axes.  Only the terminal
+    callbacks take the single state x_H (n,).  For p = phi.size:
+      stage_cost      -> l (...)
+      stage_grad      -> (l_x (..., n), l_u (..., m))
+      stage_hess      -> (l_xx (..., n,n), l_xu (..., n,m), l_uu (..., m,m))
       dynamics        -> F (..., n), the successor states f(X, U, phi)
-      dynamics_jac    -> (F (..., n), f_x (..., n, n), f_u (..., n, m)), all
-          from one evaluation of the model; its F equals dynamics(X, U, phi)
-
-    Every other callback takes one stage (x (n,), u (m,)).  Derivative
-    callbacks return, for p = phi.size:
-      stage_grad      -> (l_x (n,), l_u (m,))
-      stage_hess      -> (l_xx (n,n), l_xu (n,m), l_uu (m,m))
+      dynamics_jac    -> (F, f_x (..., n,n), f_u (..., n,m)), all from one
+          evaluation of the model; its F equals dynamics(X, U, phi)
       terminal_grad   -> V_x (n,)
       terminal_hess   -> V_xx (n,n)
       terminal_phi    -> dV/dphi (p,)
       terminal_grad_phi -> d V_x/dphi (n,p)
 
     Stage inequalities h(x, u, phi) <= 0 have n_ineq rows; with n_ineq > 0,
-    ``ineq_constraints`` -> h (n_ineq,) and ``ineq_jac`` ->
-    (h_x (n_ineq,n), h_u (n_ineq,m)) are required.
+    ``ineq_constraints`` -> h (..., n_ineq) and ``ineq_jac`` ->
+    (h_x (..., n_ineq,n), h_u (..., n_ineq,m)) are required, and with
+    n_ineq == 0 every inequality callback stays None.
 
     The phi-derivatives of the stage cost, the dynamics and the inequalities
     are optional.  None means "this term does not depend on phi": the
     sensitivities skip it, and ``validate_spec`` still checks that the parent
     callback does not move with phi.
-      stage_phi       -> dl/dphi (p,)
-      stage_grad_phi  -> (d l_x/dphi (n,p), d l_u/dphi (m,p))
-      dynamics_phi    -> df/dphi (n,p)
-      dynamics_jac_phi_vp(x,u,phi,lam) -> (d(f_x'lam)/dphi (n,p), d(f_u'lam)/dphi (m,p))
-      ineq_phi        -> dh/dphi (n_ineq,p)
-      ineq_jac_phi_vp(x,u,phi,mu) -> (d(h_x'mu)/dphi (n,p), d(h_u'mu)/dphi (m,p))
+      stage_phi       -> dl/dphi (..., p)
+      stage_grad_phi  -> (d l_x/dphi (..., n,p), d l_u/dphi (..., m,p))
+      dynamics_phi    -> df/dphi (..., n,p)
+      dynamics_jac_phi_vp(X,U,phi,Lam) -> (d(f_x'lam)/dphi (..., n,p), d(f_u'lam)/dphi (..., m,p))
+      ineq_phi        -> dh/dphi (..., n_ineq,p)
+      ineq_jac_phi_vp(X,U,phi,Mu) -> (d(h_x'mu)/dphi (..., n,p), d(h_u'mu)/dphi (..., m,p))
 
-    ``dynamics_hess_vp(x,u,phi,lam)`` -> (n+m, n+m) sum_i lam_i * hess f_i is
-    the dynamics curvature.  A callback that returns zeros declares a linear
+    ``dynamics_hess_vp(X,U,phi,Lam)`` -> (..., n+m, n+m) sum_i lam_i * hess f_i
+    is the dynamics curvature.  A callback that returns zeros declares a linear
     model, so the Lagrangian Hessian is exact; None requests a Gauss-Newton
     treatment that drops the curvature, and the sensitivities then mark their
     results approximate.
@@ -179,6 +187,9 @@ class OCPSpec:
             raise ValueError("n_ineq inconsistent with ineq_constraints")
         if self.n_ineq > 0 and self.ineq_jac is None:
             raise ValueError("n_ineq > 0 requires ineq_jac")
+        stray = [f for f in ("ineq_jac", "ineq_phi", "ineq_jac_phi_vp") if getattr(self, f) is not None]
+        if self.n_ineq == 0 and stray:
+            raise ValueError(f"n_ineq == 0 leaves no rows for {', '.join(stray)}")
 
     def stage_weights(self) -> tuple[np.ndarray, float]:
         """(w_0..w_{H-1}, w_H): gamma powers, or all ones when discounting is off."""
@@ -187,12 +198,30 @@ class OCPSpec:
         return np.ones(self.H), 1.0
 
 
+def _tile(batch: tuple, *blocks) -> tuple:
+    """The same blocks for every stage of a batch with leading axes ``batch``."""
+    return tuple(np.broadcast_to(b, batch + np.shape(b)) for b in blocks)
+
+
+def _matvec(W: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """W @ v for every stage of v (..., k), each rounded as W @ v of one stage."""
+    return (W @ v[..., None])[..., 0]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the trailing two axes, batched over the leading axes of either
+    factor; each entry is the same single product a_ij * b_kl."""
+    r1, c1 = a.shape[-2:]
+    r2, c2 = b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (r1 * r2, c1 * c2))
+
+
 def _sym_quad_grad_wrt_w(x: np.ndarray) -> np.ndarray:
-    """d/dvec(W) of (W + W')x for row-major vec, shape (len(x), len(x)^2)."""
-    n = x.size
-    eye = np.eye(n)
-    xr = x.reshape(1, -1)
-    return np.kron(eye, xr) + np.kron(xr, eye)
+    """d/dvec(W) of (W + W')x for row-major vec, shape (..., n, n^2) for x (..., n)."""
+    eye = np.eye(x.shape[-1])
+    xr = x[..., None, :]
+    return _kron(eye, xr) + _kron(xr, eye)
 
 
 def build_lq_ocp(
@@ -251,29 +280,35 @@ def build_lq_ocp(
             pv.phi[sl["P"]].reshape(n, n),
         )
 
+    # stacked matrix products round every stage exactly as x @ Q @ x and S @ x
+    # do for one stage, which X @ S.T, einsum and elementwise sums do not, so
+    # batching the stages leaves every LQ result unchanged
+    def quad(v, W):
+        return ((v[..., None, :] @ W) @ v[..., :, None])[..., 0, 0]
+
     def stage_cost(x, u, pv):
         _, _, Q, R, _ = mats(pv)
-        return float(x @ Q @ x + u @ R @ u)
+        return quad(x, Q) + quad(u, R)
 
     def stage_grad(x, u, pv):
         _, _, Q, R, _ = mats(pv)
-        return (Q + Q.T) @ x, (R + R.T) @ u
+        return _matvec(Q + Q.T, x), _matvec(R + R.T, u)
 
     def stage_hess(x, u, pv):
         _, _, Q, R, _ = mats(pv)
-        return Q + Q.T, np.zeros((n, m)), R + R.T
+        return _tile(x.shape[:-1], Q + Q.T, np.zeros((n, m)), R + R.T)
 
     def stage_phi(x, u, pv):
-        out = np.zeros(p)
-        out[sl["Q"]] = np.outer(x, x).ravel()
-        out[sl["R"]] = np.outer(u, u).ravel()
+        out = np.zeros(x.shape[:-1] + (p,))
+        out[..., sl["Q"]] = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
+        out[..., sl["R"]] = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (m * m,))
         return out
 
     def stage_grad_phi(x, u, pv):
-        dlx = np.zeros((n, p))
-        dlu = np.zeros((m, p))
-        dlx[:, sl["Q"]] = _sym_quad_grad_wrt_w(x)
-        dlu[:, sl["R"]] = _sym_quad_grad_wrt_w(u)
+        dlx = np.zeros(x.shape[:-1] + (n, p))
+        dlu = np.zeros(x.shape[:-1] + (m, p))
+        dlx[..., sl["Q"]] = _sym_quad_grad_wrt_w(x)
+        dlu[..., sl["R"]] = _sym_quad_grad_wrt_w(u)
         return dlx, dlu
 
     def terminal_cost(x, pv):
@@ -300,32 +335,29 @@ def build_lq_ocp(
 
     def dynamics(x, u, pv):
         Am, Bm = mats(pv)[:2]
-        # one matrix-vector product per stage: each row rounds exactly as
-        # A @ x + B @ u does for one stage, where x @ A.T would not
-        return (Am @ x[..., None])[..., 0] + (Bm @ u[..., None])[..., 0]
+        return _matvec(Am, x) + _matvec(Bm, u)
 
     def dynamics_jac(x, u, pv):
         Am, Bm = mats(pv)[:2]
         F = dynamics(x, u, pv)
-        batch = F.shape[:-1]
-        return F, np.broadcast_to(Am, batch + (n, n)), np.broadcast_to(Bm, batch + (n, m))
+        return (F, *_tile(F.shape[:-1], Am, Bm))
 
     def dynamics_phi(x, u, pv):
-        out = np.zeros((n, p))
-        out[:, sl["A"]] = np.kron(np.eye(n), x.reshape(1, -1))
-        out[:, sl["B"]] = np.kron(np.eye(n), u.reshape(1, -1))
+        out = np.zeros(x.shape[:-1] + (n, p))
+        out[..., sl["A"]] = _kron(np.eye(n), x[..., None, :])
+        out[..., sl["B"]] = _kron(np.eye(n), u[..., None, :])
         return out
 
     def dynamics_jac_phi_vp(x, u, pv, lam):
         # d(A'lam)/dvec(A) and d(B'lam)/dvec(B); each lands in its own segment.
-        dx = np.zeros((n, p))
-        du = np.zeros((m, p))
-        dx[:, sl["A"]] = np.kron(lam.reshape(1, -1), np.eye(n))
-        du[:, sl["B"]] = np.kron(lam.reshape(1, -1), np.eye(m))
+        dx = np.zeros(lam.shape[:-1] + (n, p))
+        du = np.zeros(lam.shape[:-1] + (m, p))
+        dx[..., sl["A"]] = _kron(lam[..., None, :], np.eye(n))
+        du[..., sl["B"]] = _kron(lam[..., None, :], np.eye(m))
         return dx, du
 
     def dynamics_hess_vp(x, u, pv, lam):
-        return np.zeros((n + m, n + m))
+        return np.zeros(lam.shape[:-1] + (n + m, n + m))
 
     kwargs: dict = {}
     if u_lo is not None or u_hi is not None:
@@ -340,10 +372,10 @@ def build_lq_ocp(
         h_off = np.concatenate([-u_hi, u_lo])
 
         def ineq_constraints(x, u, pv):
-            return Hu @ u + h_off
+            return _matvec(Hu, u) + h_off
 
         def ineq_jac(x, u, pv):
-            return np.zeros((n_ineq, n)), Hu.copy()
+            return _tile(u.shape[:-1], np.zeros((n_ineq, n)), Hu)
 
         # the bounds do not depend on phi: no ineq_phi / ineq_jac_phi_vp
         kwargs = dict(n_ineq=n_ineq, ineq_constraints=ineq_constraints, ineq_jac=ineq_jac)
@@ -374,21 +406,9 @@ def build_lq_ocp(
     return spec, phi0
 
 
-def _fd_grad(fun, x, step_scale=1e-6):
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        h = step_scale * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
-
-
 def _fd_jac(fun, x, step_scale=1e-6):
-    """Central-difference Jacobian of a vector function of a vector."""
+    """Central differences of fun (scalar or array valued) along a vector x,
+    stacked on a trailing axis: a gradient or a Jacobian."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
@@ -410,6 +430,11 @@ def _rel_dev(analytic, numeric) -> float:
     return diff / denom
 
 
+def _parts(result) -> tuple:
+    """A callback's result as a tuple of its arrays."""
+    return tuple(result) if isinstance(result, (tuple, list)) else (result,)
+
+
 def _call(fn, *args):
     """fn(*args), or None for an optional callback that is not supplied."""
     return None if fn is None else fn(*args)
@@ -427,8 +452,8 @@ def validate_spec(
     dynamics and d(h_x'mu)/dphi for the constraints.  A phi-derivative left
     None counts as an exact zero and is checked the same way, so a spec that
     declares None for a term that reads phi gets a finding.  The state returned by
-    ``dynamics_jac`` must equal ``dynamics``, and both dynamics callbacks,
-    given all probe points as one batch, must return the per-point results
+    ``dynamics_jac`` must equal ``dynamics``, and every stage callback, given
+    all probe points as one batch, must return the per-point results
     (relative tolerance 1e-12).
     Returns human-readable findings; empty means the spec passed.
     """
@@ -447,11 +472,12 @@ def validate_spec(
         elif dev > FD_REL_TOL:
             findings.append(f"{name}: max relative deviation {dev:.2e} vs finite differences")
 
-    points = [(rng.normal(size=n), rng.normal(size=m)) for _ in range(3)]
-    for x, u in points:
+    X, U = rng.normal(size=(3, n)), rng.normal(size=(3, m))
+    LAM, MU = rng.normal(size=(3, n)), rng.normal(size=(3, spec.n_ineq))
+    for x, u, lam, mu in zip(X, U, LAM, MU):
         lx, lu = spec.stage_grad(x, u, phi)
-        check("stage_grad[x]", lx, _fd_grad(lambda v: spec.stage_cost(v, u, phi), x))
-        check("stage_grad[u]", lu, _fd_grad(lambda v: spec.stage_cost(x, v, phi), u))
+        check("stage_grad[x]", lx, _fd_jac(lambda v: spec.stage_cost(v, u, phi), x))
+        check("stage_grad[u]", lu, _fd_jac(lambda v: spec.stage_cost(x, v, phi), u))
         lxx, lxu, luu = spec.stage_hess(x, u, phi)
         check("stage_hess[xx]", lxx, _fd_jac(lambda v: spec.stage_grad(v, u, phi)[0], x))
         check("stage_hess[xu]", lxu, _fd_jac(lambda v: spec.stage_grad(x, v, phi)[0], u))
@@ -459,7 +485,7 @@ def validate_spec(
         check(
             "stage_phi",
             _call(spec.stage_phi, x, u, phi),
-            _fd_grad(lambda v: spec.stage_cost(x, u, phi.with_vector(v)), phi.phi),
+            _fd_jac(lambda v: spec.stage_cost(x, u, phi.with_vector(v)), phi.phi),
         )
         dlx, dlu = _call(spec.stage_grad_phi, x, u, phi) or (None, None)
         check(
@@ -473,13 +499,13 @@ def validate_spec(
             _fd_jac(lambda v: spec.stage_grad(x, u, phi.with_vector(v))[1], phi.phi),
         )
         check("terminal_grad", spec.terminal_grad(x, phi),
-              _fd_grad(lambda v: spec.terminal_cost(v, phi), x))
+              _fd_jac(lambda v: spec.terminal_cost(v, phi), x))
         check("terminal_hess", spec.terminal_hess(x, phi),
               _fd_jac(lambda v: spec.terminal_grad(v, phi), x))
         check(
             "terminal_phi",
             spec.terminal_phi(x, phi),
-            _fd_grad(lambda v: spec.terminal_cost(x, phi.with_vector(v)), phi.phi),
+            _fd_jac(lambda v: spec.terminal_cost(x, phi.with_vector(v)), phi.phi),
         )
         check(
             "terminal_grad_phi",
@@ -496,7 +522,6 @@ def validate_spec(
             _call(spec.dynamics_phi, x, u, phi),
             _fd_jac(lambda v: spec.dynamics(x, u, phi.with_vector(v)), phi.phi),
         )
-        lam = rng.normal(size=n)
         djx, dju = _call(spec.dynamics_jac_phi_vp, x, u, phi, lam) or (None, None)
         check(
             "dynamics_jac_phi_vp[x]",
@@ -522,7 +547,7 @@ def validate_spec(
             check(
                 "dynamics_hess_vp",
                 hv,
-                _fd_jac(lambda v: _fd_grad(lam_f, v, 1e-5), np.concatenate([x, u]), 1e-5),
+                _fd_jac(lambda v: _fd_jac(lam_f, v, 1e-5), np.concatenate([x, u]), 1e-5),
             )
         if spec.n_ineq == 0:
             continue
@@ -535,7 +560,6 @@ def validate_spec(
             _call(spec.ineq_phi, x, u, phi),
             _fd_jac(lambda v: cons(x, u, phi.with_vector(v)), phi.phi),
         )
-        mu = rng.normal(size=spec.n_ineq)
         dcx, dcu = _call(spec.ineq_jac_phi_vp, x, u, phi, mu) or (None, None)
         check(
             "ineq_jac_phi_vp[x]",
@@ -548,16 +572,22 @@ def validate_spec(
             _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[1].T @ mu, phi.phi),
         )
 
-    X = np.stack([x for x, _ in points])
-    U = np.stack([u for _, u in points])
-    single = [spec.dynamics_jac(x, u, phi) for x, u in points]
-    try:
-        batched = (spec.dynamics(X, U, phi),) + tuple(spec.dynamics_jac(X, U, phi))
-    except (ValueError, IndexError) as exc:
-        findings.append(f"dynamics: batched call failed: {exc}")
-        return findings
-    names = ("dynamics", "dynamics_jac[F]", "dynamics_jac[x]", "dynamics_jac[u]")
-    for name, got, i in zip(names, batched, (0, 0, 1, 2)):
-        if _rel_dev(got, np.stack([r[i] for r in single])) > 1e-12:
+    multipliers = {
+        "dynamics_jac_phi_vp": (LAM,), "dynamics_hess_vp": (LAM,), "ineq_jac_phi_vp": (MU,)
+    }
+    for name in STAGE_CALLBACKS:
+        fn = getattr(spec, name)
+        if fn is None:
+            continue
+        extra = multipliers.get(name, ())
+        single = [_parts(fn(x, u, phi, *v)) for x, u, *v in zip(X, U, *extra)]
+        try:
+            batched = _parts(fn(X, U, phi, *extra))
+        except (ValueError, IndexError, TypeError) as exc:
+            findings.append(f"{name}: batched call failed: {exc}")
+            continue
+        if len(batched) != len(single[0]) or any(
+            _rel_dev(got, np.stack(want)) > 1e-12 for got, want in zip(batched, zip(*single))
+        ):
             findings.append(f"{name}: batched call differs from per-point calls")
     return findings

@@ -70,63 +70,41 @@ def _regularity(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> str:
     """Strict complementarity check around the reported active set."""
     st = _Stacker(spec, kkt.pinned_a is not None)
     _, _, h, _ = _eval_constraints(st, phi, kkt.z, kkt.s, kkt.pinned_a, with_jac=False)
-    active = set(int(i) for i in kkt.active_set)
-    for i in range(h.size):
-        if i in active:
-            if kkt.mu[i] < DEGENERACY_TOL:
-                return "degenerate"
-        elif abs(h[i]) < DEGENERACY_TOL:
-            return "degenerate"
-    return "strict"
+    active = np.zeros(h.size, dtype=bool)
+    active[kkt.active_set] = True
+    weak = np.any(kkt.mu[active] < DEGENERACY_TOL) or np.any(np.abs(h[~active]) < DEGENERACY_TOL)
+    return "degenerate" if weak else "strict"
 
 
 def _phi_jacobians(st: _Stacker, spec: OCPSpec, phi, z, s, lam, mu):
     """Explicit phi-derivatives: of the Lagrangian z-gradient (nz, p), of the
     equality rows (n_eq_rows, p), and of the inequality rows (n_in, p).
     A phi-derivative callback that is None contributes nothing."""
-    p = phi.size
+    H, p = spec.H, phi.size
     xs = st.states(z, s)
-    us = st.inputs(z)
+    X, U = xs[:-1], st.inputs(z)
     w, wH = spec.stage_weights()
     Mz = np.zeros((st.nz, p))
     Cphi = np.zeros((st.n_eq_rows, p))
     Hphi = np.zeros((st.n_in_rows, p))
-    for k in range(spec.H):
-        if spec.stage_grad_phi is not None:
-            dlx, dlu = spec.stage_grad_phi(xs[k], us[k], phi)
-            if k >= 1:
-                Mz[st.xs(k)] += w[k] * dlx
-            Mz[st.us(k)] += w[k] * dlu
-        if spec.dynamics_jac_phi_vp is not None:
-            lam_k = lam[k * spec.n : (k + 1) * spec.n]
-            djx, dju = spec.dynamics_jac_phi_vp(xs[k], us[k], phi, lam_k)
-            if k >= 1:
-                Mz[st.xs(k)] -= djx
-            Mz[st.us(k)] -= dju
-        if spec.dynamics_phi is not None:
-            Cphi[k * spec.n : (k + 1) * spec.n] = -spec.dynamics_phi(xs[k], us[k], phi)
-        rows = slice(k * spec.n_ineq, (k + 1) * spec.n_ineq)
-        if spec.ineq_jac_phi_vp is not None:
-            dhx, dhu = spec.ineq_jac_phi_vp(xs[k], us[k], phi, mu[rows])
-            if k >= 1:
-                Mz[st.xs(k)] += dhx
-            Mz[st.us(k)] += dhu
-        if spec.ineq_phi is not None:
-            Hphi[rows] = spec.ineq_phi(xs[k], us[k], phi)
-    Mz[st.xs(spec.H)] += wH * spec.terminal_grad_phi(xs[spec.H], phi)
+    if spec.stage_grad_phi is not None:
+        dlx, dlu = spec.stage_grad_phi(X, U, phi)
+        Mz[st.x_idx[:-1]] += w[1:, None, None] * dlx[1:]
+        Mz[st.u_idx] += w[:, None, None] * dlu
+    if spec.dynamics_jac_phi_vp is not None:
+        djx, dju = spec.dynamics_jac_phi_vp(X, U, phi, lam[: st.n_dyn].reshape(H, spec.n))
+        Mz[st.x_idx[:-1]] -= djx[1:]
+        Mz[st.u_idx] -= dju
+    if spec.dynamics_phi is not None:
+        Cphi[: st.n_dyn] = -spec.dynamics_phi(X, U, phi).reshape(st.n_dyn, p)
+    if spec.ineq_jac_phi_vp is not None:
+        dhx, dhu = spec.ineq_jac_phi_vp(X, U, phi, mu.reshape(H, spec.n_ineq))
+        Mz[st.x_idx[:-1]] += dhx[1:]
+        Mz[st.u_idx] += dhu
+    if spec.ineq_phi is not None:
+        Hphi[:] = spec.ineq_phi(X, U, phi).reshape(st.n_in_rows, p)
+    Mz[st.x_idx[-1]] += wH * spec.terminal_grad_phi(xs[H], phi)
     return Mz, Cphi, Hphi
-
-
-def _stage_phi_sum(st: _Stacker, spec: OCPSpec, phi, z, s):
-    xs = st.states(z, s)
-    us = st.inputs(z)
-    w, wH = spec.stage_weights()
-    out = np.zeros(phi.size)
-    if spec.stage_phi is not None:
-        for k in range(spec.H):
-            out += w[k] * spec.stage_phi(xs[k], us[k], phi)
-    out += wH * spec.terminal_phi(xs[spec.H], phi)
-    return out
 
 
 def grad_q_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> SensitivityResult:
@@ -139,7 +117,13 @@ def grad_q_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> Sen
     _check_converged(kkt)
     st = _Stacker(spec, kkt.pinned_a is not None)
     _, Cphi, Hphi = _phi_jacobians(st, spec, phi, kkt.z, kkt.s, kkt.lam, kkt.mu)
-    grad = _stage_phi_sum(st, spec, phi, kkt.z, kkt.s)
+    xs = st.states(kkt.z, kkt.s)
+    w, wH = spec.stage_weights()
+    grad = np.zeros(phi.size)
+    if spec.stage_phi is not None:
+        # added stage by stage, in order
+        grad = sum(w[:, None] * spec.stage_phi(xs[:-1], st.inputs(kkt.z), phi), grad)
+    grad += wH * spec.terminal_phi(xs[spec.H], phi)
     grad += Cphi.T @ kkt.lam
     if st.n_in_rows:
         grad += Hphi.T @ kkt.mu
@@ -203,7 +187,7 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     if resid > 1e-6 * (1.0 + float(np.max(np.abs(rhs)))):
         regularity = "degenerate"
 
-    jac = X[st.us(0), :]
+    jac = X[st.u_idx[0]]
     return SensitivityResult(
         grad_value=None,
         jac_action=jac,

@@ -93,15 +93,11 @@ class _Stacker:
         self.n_pin = m if pinned else 0
         self.n_eq_rows = self.n_dyn + self.n_pin
         self.n_in_rows = H * spec.n_ineq
-
-    def xs(self, k: int) -> slice:
-        # valid for k = 1..H
-        n = self.spec.n
-        return slice((k - 1) * n, k * n)
-
-    def us(self, k: int) -> slice:
-        H, n, m = self.spec.H, self.spec.n, self.spec.m
-        return slice(H * n + k * m, H * n + (k + 1) * m)
+        # per stage k: x_idx[k] indexes x_{k+1} in z (and stage k's dynamics
+        # rows), u_idx[k] u_k, in_rows[k] its inequality rows; x_0 = s is data
+        self.x_idx = np.arange(self.n_dyn).reshape(H, n)
+        self.u_idx = self.n_dyn + np.arange(H * m).reshape(H, m)
+        self.in_rows = np.arange(self.n_in_rows).reshape(H, spec.n_ineq)
 
     def states(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
         """x_0..x_H as rows of an (H+1, n) array."""
@@ -113,35 +109,35 @@ class _Stacker:
         return z[self.n_dyn :].reshape(self.spec.H, self.spec.m)
 
 
+def _blocks(rows: np.ndarray, cols: np.ndarray):
+    """Index of the blocks M[rows[k]][:, cols[k]] of all stages k at once."""
+    return rows[:, :, None], cols[:, None, :]
+
+
 def _eval_objective(st: _Stacker, phi, z, s, with_grad=True):
     """Objective at z and, with ``with_grad``, its gradient (else None)."""
     spec = st.spec
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
     us = st.inputs(z)
-    F = sum(w[k] * spec.stage_cost(xs[k], us[k], phi) for k in range(spec.H))
+    # builtin sum adds the stages in order, whatever the horizon
+    F = sum(w * spec.stage_cost(xs[:-1], us, phi))
     F += wH * spec.terminal_cost(xs[spec.H], phi)
     if not with_grad:
         return float(F), None
+    lx, lu = spec.stage_grad(xs[:-1], us, phi)
     grad = np.zeros(st.nz)
-    for k in range(spec.H):
-        lx, lu = spec.stage_grad(xs[k], us[k], phi)
-        if k >= 1:
-            grad[st.xs(k)] += w[k] * lx
-        grad[st.us(k)] += w[k] * lu
-    grad[st.xs(spec.H)] += wH * spec.terminal_grad(xs[spec.H], phi)
+    grad[st.x_idx[:-1]] += w[1:, None] * lx[1:]
+    grad[st.u_idx] += w[:, None] * lu
+    grad[st.x_idx[-1]] += wH * spec.terminal_grad(xs[spec.H], phi)
     return float(F), grad
 
 
 def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
     """Values of all equality and inequality rows at z, and with ``with_jac``
-    their Jacobians (else None).
-
-    The dynamics of all H stages come from one batched callback call:
-    ``dynamics_jac`` with Jacobians, ``dynamics`` without.
-    """
+    their Jacobians (else None).  Each stage callback is called once, on all
+    H stages."""
     spec = st.spec
-    H, n = spec.H, spec.n
     xs = st.states(z, s)
     us = st.inputs(z)
     c = np.zeros(st.n_eq_rows)
@@ -150,11 +146,8 @@ def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
         f, fx, fu = spec.dynamics_jac(xs[:-1], us, phi)
         C = np.zeros((st.n_eq_rows, st.nz))
         C[: st.n_dyn, : st.n_dyn] = np.eye(st.n_dyn)
-        for k in range(H):
-            rows = slice(k * n, (k + 1) * n)
-            if k >= 1:
-                C[rows, st.xs(k)] = -fx[k]
-            C[rows, st.us(k)] = -fu[k]
+        C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
+        C[_blocks(st.x_idx, st.u_idx)] = -fu
     else:
         f = spec.dynamics(xs[:-1], us, phi)
     c[: st.n_dyn] = (xs[1:] - f).ravel()
@@ -162,20 +155,15 @@ def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
         rows = slice(st.n_eq_rows - spec.m, st.n_eq_rows)
         c[rows] = us[0] - pinned_a
         if with_jac:
-            C[rows, st.us(0)] = np.eye(spec.m)
+            C[rows, st.u_idx[0]] = np.eye(spec.m)
 
-    h = np.zeros(st.n_in_rows)
+    h = spec.ineq_constraints(xs[:-1], us, phi).ravel() if spec.n_ineq else np.zeros(0)
     if with_jac:
         Hj = np.zeros((st.n_in_rows, st.nz))
-    if spec.n_ineq:
-        for k in range(H):
-            rows = slice(k * spec.n_ineq, (k + 1) * spec.n_ineq)
-            h[rows] = spec.ineq_constraints(xs[k], us[k], phi)
-            if with_jac:
-                hx, hu = spec.ineq_jac(xs[k], us[k], phi)
-                if k >= 1:
-                    Hj[rows, st.xs(k)] = hx
-                Hj[rows, st.us(k)] = hu
+    if with_jac and spec.n_ineq:
+        hx, hu = spec.ineq_jac(xs[:-1], us, phi)
+        Hj[_blocks(st.in_rows[1:], st.x_idx[:-1])] = hx[1:]
+        Hj[_blocks(st.in_rows, st.u_idx)] = hu
     return c, C, h, Hj
 
 
@@ -183,27 +171,22 @@ def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
     """Block Hessian of the Lagrangian; Gauss-Newton when dynamics supply no
     second derivatives (exact for linear models)."""
     spec = st.spec
+    n = spec.n
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
     us = st.inputs(z)
+    lxx, lxu, luu = spec.stage_hess(xs[:-1], us, phi)
+    terms = [w[:, None, None] * np.block([[lxx, lxu], [np.swapaxes(lxu, -1, -2), luu]])]
+    if spec.dynamics_hess_vp is not None:
+        # constraint is x_{k+1} - f, so f-curvature enters with a minus
+        terms.append(-spec.dynamics_hess_vp(xs[:-1], us, phi, lam[: st.n_dyn].reshape(spec.H, n)))
+    # (x_k, u_k) of the stages k >= 1; stage 0 has u_0 alone, x_0 = s being data
+    xu = np.hstack([st.x_idx[:-1], st.u_idx[1:]])
     HL = np.zeros((st.nz, st.nz))
-    for k in range(spec.H):
-        lxx, lxu, luu = spec.stage_hess(xs[k], us[k], phi)
-        if k >= 1:
-            HL[st.xs(k), st.xs(k)] += w[k] * lxx
-            HL[st.xs(k), st.us(k)] += w[k] * lxu
-            HL[st.us(k), st.xs(k)] += w[k] * lxu.T
-        HL[st.us(k), st.us(k)] += w[k] * luu
-        if spec.dynamics_hess_vp is not None:
-            lam_k = lam[k * spec.n : (k + 1) * spec.n]
-            # constraint is x_{k+1} - f, so f-curvature enters with a minus
-            M = -spec.dynamics_hess_vp(xs[k], us[k], phi, lam_k)
-            if k >= 1:
-                HL[st.xs(k), st.xs(k)] += M[: spec.n, : spec.n]
-                HL[st.xs(k), st.us(k)] += M[: spec.n, spec.n :]
-                HL[st.us(k), st.xs(k)] += M[spec.n :, : spec.n]
-            HL[st.us(k), st.us(k)] += M[spec.n :, spec.n :]
-    HL[st.xs(spec.H), st.xs(spec.H)] += wH * spec.terminal_hess(xs[spec.H], phi)
+    for K in terms:
+        HL[_blocks(xu, xu)] += K[1:]
+        HL[_blocks(st.u_idx[:1], st.u_idx[:1])] += K[:1, n:, n:]
+    HL[_blocks(st.x_idx[-1:], st.x_idx[-1:])] += wH * spec.terminal_hess(xs[spec.H], phi)
     return HL
 
 
@@ -236,7 +219,7 @@ def _eq_multipliers(st: _Stacker, C, r):
     lam = np.zeros(st.n_eq_rows)
     lam[:n_dyn] = -solve_triangular(C[:n_dyn, :n_dyn], r[:n_dyn], lower=True, trans="T", unit_diagonal=True)
     if st.n_pin:
-        u0 = st.us(0)
+        u0 = slice(n_dyn, n_dyn + st.spec.m)
         lam[n_dyn:] = -(r[u0] + C[:n_dyn, u0].T @ lam[:n_dyn])
     return lam
 
@@ -283,18 +266,17 @@ def _initial_iterate(st: _Stacker, phi, s, pinned_a):
     u_hold = np.zeros(spec.m) if spec.u_init is None else np.asarray(spec.u_init, dtype=float)
     for k in range(spec.H):
         u = pinned_a if (k == 0 and pinned_a is not None) else u_hold
-        z[st.us(k)] = u
+        z[st.u_idx[k]] = u
         x = np.asarray(spec.dynamics(x, u, phi), dtype=float)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
             ok = False
             break
-        z[st.xs(k + 1)] = x
+        z[st.x_idx[k]] = x
     if not ok:
         z = np.zeros(st.nz)
-        for k in range(spec.H):
-            z[st.us(k)] = u_hold
+        z[st.u_idx] = u_hold
         if pinned_a is not None:
-            z[st.us(0)] = pinned_a
+            z[st.u_idx[0]] = pinned_a
     return z
 
 
@@ -445,8 +427,7 @@ def mpc_policy(
     """
     kkt, report = solve_ocp(spec, phi, s, None, warm_start, settings)
     _require_converged(report, settings or SolverSettings())
-    st = _Stacker(spec, False)
-    return kkt.z[st.us(0)].copy(), kkt
+    return kkt.z[_Stacker(spec, False).u_idx[0]], kkt
 
 
 def mpc_qvalue(

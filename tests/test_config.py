@@ -1,9 +1,7 @@
 """Strict experiment-config parsing: schema errors must fail loudly."""
 
-import copy
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qmpc.config import load_config, parse_config

@@ -7,7 +7,7 @@ import scipy.linalg
 from qmpc import dp
 from qmpc.errors import DimensionError, NonConvergenceError
 from qmpc.mdp import TabularMDP
-from tests.conftest import A2, B2, GAMMA, Q2, R2
+from tests.conftest import A2, B2, Q2, R2
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

@@ -5,7 +5,6 @@ import pytest
 
 from qmpc.envs import (
     CSTREnv,
-    CSTRConfig,
     LQEnv,
     LQEnvConfig,
     build_cstr_ocp,

@@ -9,7 +9,6 @@ import pytest
 from qmpc.config import TrainingSection, parse_config
 from qmpc.errors import DimensionError, QmpcError
 from qmpc.harness import (
-    METRICS_FIELDS,
     GreedyValuePolicy,
     MetricsRow,
     _action_grid,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qmpc import dp
 from qmpc.envs import LQEnv, LQEnvConfig
 from qmpc.errors import DimensionError, DivergenceError
 from qmpc.mdp import (
@@ -16,7 +15,7 @@ from qmpc.mdp import (
     estimate_J,
     rollout,
 )
-from tests.conftest import A2, B2, GAMMA, Q2, R2, StaticEnv
+from tests.conftest import A2, B2, Q2, R2, StaticEnv
 
 
 class CountingEnv:

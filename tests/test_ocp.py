@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qmpc.envs import build_cstr_ocp, cstr_discrete, cstr_discrete_jac
 from qmpc.errors import DimensionError
 from qmpc.ocp import (
-    OCPSpec,
+    STAGE_CALLBACKS,
     ParameterVector,
     build_lq_ocp,
     validate_spec,
@@ -81,6 +82,15 @@ def test_spec_rejects_bad_scalars(lq2_ocp):
         dataclasses.replace(bounded, ineq_jac=None)
     with pytest.raises(DimensionError, match="u_init"):
         dataclasses.replace(spec, u_init=np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["ineq_jac", "ineq_phi", "ineq_jac_phi_vp"])
+def test_spec_rejects_inequality_callbacks_without_rows(lq2_ocp, name):
+    # with n_ineq == 0 they have no rows to act on; a stray ineq_phi used to
+    # build and then crash the envelope gradient with a broadcast error
+    spec, phi = lq2_ocp
+    with pytest.raises(ValueError, match=f"n_ineq == 0 leaves no rows for {name}"):
+        dataclasses.replace(spec, **{name: _one_stage_lq(phi)[name]})
 
 
 def test_stage_weights():
@@ -218,7 +228,8 @@ def test_validate_flags_wrong_inequality_phi_derivative(lq2):
     n, m, p = spec.n, spec.m, phi.size
 
     def skewed(x, u, pv, mu):
-        return np.zeros((n, p)), np.full((m, p), 0.1)
+        batch = mu.shape[:-1]
+        return np.zeros(batch + (n, p)), np.full(batch + (m, p), 0.1)
 
     findings = validate_spec(dataclasses.replace(spec, ineq_jac_phi_vp=skewed), phi)
     assert any(f.startswith("ineq_jac_phi_vp[u]:") for f in findings)
@@ -237,27 +248,145 @@ def test_validate_flags_none_phi_derivative_of_phi_dependent_term(lq2_ocp, field
     assert all(f.startswith(field) and "(None)" in f for f in findings)
 
 
-def test_validate_flags_per_stage_dynamics(lq2_ocp):
-    # callbacks written for one stage at a time break the batching rule
-    spec, phi = lq2_ocp
-    per_stage = dataclasses.replace(
-        spec,
-        dynamics=lambda x, u, pv: A2 @ x + B2 @ u,
-        dynamics_jac=lambda x, u, pv: (A2 @ x + B2 @ u, A2, B2),
-    )
+def _one_stage_lq(phi):
+    """The stage callbacks of build_lq_ocp(A2, B2, Q2, R2, ., u_lo=-1, u_hi=1),
+    written for one stage x (n,), u (m,) only."""
+    p = phi.size
+    sl = {name: slice(*span) for name, span in phi.layout.items()}
+    Hu = np.array([[1.0], [-1.0]])
+
+    def at(**segments):
+        blocks = list(segments.values())
+        out = np.zeros(np.shape(blocks[0])[:-1] + (p,))
+        for name, block in segments.items():
+            out[..., sl[name]] = block
+        return out
+
+    def sym(x):  # d/dvec(W) of (W + W')x
+        return np.kron(np.eye(x.size), x.reshape(1, -1)) + np.kron(x.reshape(1, -1), np.eye(x.size))
+
+    def mat(pv, name):
+        return pv.segment(name).reshape({"A": (2, 2), "B": (2, 1), "Q": (2, 2), "R": (1, 1)}[name])
+
+    def cost(x, u, pv):
+        return float(x @ mat(pv, "Q") @ x + u @ mat(pv, "R") @ u)
+
+    def grad(x, u, pv):
+        Q, R = mat(pv, "Q"), mat(pv, "R")
+        return (Q + Q.T) @ x, (R + R.T) @ u
+
+    def hess(x, u, pv):
+        Q, R = mat(pv, "Q"), mat(pv, "R")
+        return Q + Q.T, np.zeros((2, 1)), R + R.T
+
+    def f(x, u, pv):
+        return mat(pv, "A") @ x + mat(pv, "B") @ u
+
+    return {
+        "stage_cost": cost,
+        "stage_grad": grad,
+        "stage_hess": hess,
+        "stage_phi": lambda x, u, pv: at(Q=np.outer(x, x).ravel(), R=np.outer(u, u).ravel()),
+        "stage_grad_phi": lambda x, u, pv: (at(Q=sym(x)), at(R=sym(u))),
+        "dynamics": f,
+        "dynamics_jac": lambda x, u, pv: (f(x, u, pv), mat(pv, "A"), mat(pv, "B")),
+        "dynamics_phi": lambda x, u, pv: at(
+            A=np.kron(np.eye(2), x.reshape(1, -1)), B=np.kron(np.eye(2), u.reshape(1, -1))
+        ),
+        "dynamics_jac_phi_vp": lambda x, u, pv, lam: (
+            at(A=np.kron(lam.reshape(1, -1), np.eye(2))),
+            at(B=np.kron(lam.reshape(1, -1), np.eye(1))),
+        ),
+        "dynamics_hess_vp": lambda x, u, pv, lam: np.zeros((3, 3)),
+        "ineq_constraints": lambda x, u, pv: Hu @ u + np.array([-1.0, -1.0]),
+        "ineq_jac": lambda x, u, pv: (np.zeros((2, 2)), Hu),
+        "ineq_phi": lambda x, u, pv: np.zeros((2, p)),
+        "ineq_jac_phi_vp": lambda x, u, pv, mu: (np.zeros((2, p)), np.zeros((1, p))),
+    }
+
+
+def _one_stage_cstr(cfg):
+    """The stage callbacks of build_cstr_ocp, written for one stage only."""
+    u_ref, sp, wt, wm = cfg.reference_input, cfg.setpoint, cfg.w_track, cfg.w_move
+    rows_u = np.vstack([np.eye(2), -np.eye(2)])
+    rows_x = np.vstack([np.eye(4), -np.eye(4)])
+    off_u = np.concatenate([-cfg.input_hi, cfg.input_lo])
+    off_x = np.concatenate([-cfg.state_hi, cfg.state_lo])
+
+    def grad(x, u, pv):
+        gx = np.zeros(4)
+        gx[1] = 2.0 * wt * (x[1] - sp)
+        return gx, 2.0 * wm * (u - u_ref)
+
+    return {
+        "stage_cost": lambda x, u, pv: float(wt * (x[1] - sp) ** 2 + wm @ (u - u_ref) ** 2),
+        "stage_grad": grad,
+        "stage_hess": lambda x, u, pv: (
+            np.diag([0.0, 2.0 * wt, 0.0, 0.0]), np.zeros((4, 2)), np.diag(2.0 * wm)
+        ),
+        "dynamics": lambda x, u, pv: cstr_discrete(cfg, x, u),
+        "dynamics_jac": lambda x, u, pv: cstr_discrete_jac(cfg, x, u),
+        "ineq_constraints": lambda x, u, pv: np.concatenate(
+            [rows_u @ u + off_u, rows_x @ x + off_x]
+        ),
+        "ineq_jac": lambda x, u, pv: (
+            np.vstack([np.zeros((4, 4)), rows_x]), np.vstack([rows_u, np.zeros((8, 2))])
+        ),
+    }
+
+
+def _bounded_lq():
+    return build_lq_ocp(A2, B2, Q2, R2, Q2, H=3, gamma=GAMMA, u_lo=[-1.0], u_hi=[1.0])
+
+
+@pytest.mark.parametrize("name", STAGE_CALLBACKS)
+def test_validate_flags_per_stage_callback(name):
+    # each callback, written for one stage at a time, is right at every probe
+    # point and breaks only the batching rule
+    spec, phi = _bounded_lq()
+    per_stage = dataclasses.replace(spec, **{name: _one_stage_lq(phi)[name]})
     findings = validate_spec(per_stage, phi)
-    assert any(f.startswith("dynamics: batched call failed") for f in findings)
+    assert findings
+    assert all(f.startswith(f"{name}: batched call") for f in findings), findings
 
 
-def test_lq_batched_dynamics_round_like_one_stage(lq2_ocp):
-    # a batch must give A @ x + B @ u of each stage bit for bit, so batching
-    # the solver's calls leaves every LQ result unchanged
-    spec, phi = lq2_ocp
+def _assert_bits_equal(got, want, name):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, name
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_batched_stage_callbacks_round_like_one_stage(case, cstr_cfg):
+    # a batch must give each stage's one-stage result bit for bit, so that
+    # batching the solver's and the sensitivities' calls leaves every result
+    # unchanged
     rng = np.random.default_rng(8)
-    X = 10.0 * rng.normal(size=(50, 2))
-    U = rng.normal(size=(50, 1))
-    F, Fx, Fu = spec.dynamics_jac(X, U, phi)
-    np.testing.assert_array_equal(F, np.stack([A2 @ x + B2 @ u for x, u in zip(X, U)]))
-    np.testing.assert_array_equal(spec.dynamics(X, U, phi), F)
-    assert Fx.shape == (50, 2, 2) and np.all(Fx == A2)
-    assert Fu.shape == (50, 2, 1) and np.all(Fu == B2)
+    if case == "lq":
+        spec, phi = _bounded_lq()
+        one_stage = _one_stage_lq(phi)
+        X = 10.0 * rng.normal(size=(50, 2))
+        U = rng.normal(size=(50, 1))
+    else:
+        spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
+        one_stage = _one_stage_cstr(cstr_cfg)
+        X = rng.uniform(cstr_cfg.state_lo, cstr_cfg.state_hi, size=(50, 4))
+        U = rng.uniform(cstr_cfg.input_lo, cstr_cfg.input_hi, size=(50, 2))
+        # a c_B whose (c_B - setpoint) ** 2 rounds apart as a scalar pow and
+        # as an array square, with glibc's libm
+        X[0, 1] = 0.3192048434535719
+    lam, mu = rng.normal(size=(50, spec.n)), rng.normal(size=(50, spec.n_ineq))
+    multipliers = {
+        "dynamics_jac_phi_vp": (lam,), "dynamics_hess_vp": (lam,), "ineq_jac_phi_vp": (mu,)
+    }
+    supplied = [name for name in STAGE_CALLBACKS if getattr(spec, name) is not None]
+    assert set(supplied) <= set(one_stage)
+    for name in supplied:
+        extra = multipliers.get(name, ())
+        got = getattr(spec, name)(X, U, phi, *extra)
+        want = [one_stage[name](x, u, phi, *v) for x, u, *v in zip(X, U, *extra)]
+        if isinstance(got, tuple):
+            for i, part in enumerate(got):
+                _assert_bits_equal(part, np.stack([w[i] for w in want]), f"{name}[{i}]")
+        else:
+            _assert_bits_equal(got, np.stack(want), name)

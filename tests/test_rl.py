@@ -1,7 +1,5 @@
 """TD learning on the MPC Q-function, REINFORCE, value fitting."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 

@@ -8,7 +8,7 @@ import pytest
 from qmpc import dp
 from qmpc.envs import build_cstr_ocp
 from qmpc.errors import QmpcError
-from qmpc.ocp import OCPSpec, ParameterVector, build_lq_ocp
+from qmpc.ocp import OCPSpec, ParameterVector, build_lq_ocp, validate_spec
 from qmpc.sensitivity import (
     finite_diff_check,
     grad_q_wrt_params,
@@ -82,16 +82,21 @@ def test_dead_parameter_entry_is_structurally_zero():
     def mk(pv):
         return float(pv.phi[0]), float(pv.phi[1])
 
+    def blocks(x, *values):
+        # one (1, 1) block per stage of the batch x (..., 1)
+        return [np.broadcast_to(v, x.shape[:-1] + (1, 1)) for v in values]
+
     spec = OCPSpec(
         H=1, n=1, m=1, gamma=0.9, discount_in_horizon=True,
-        stage_cost=lambda x, u, pv: mk(pv)[0] * x[0] ** 2 + mk(pv)[1] * u[0] ** 2,
+        stage_cost=lambda x, u, pv: mk(pv)[0] * x[..., 0] ** 2 + mk(pv)[1] * u[..., 0] ** 2,
         stage_grad=lambda x, u, pv: (2 * mk(pv)[0] * x, 2 * mk(pv)[1] * u),
-        stage_hess=lambda x, u, pv: (
-            2 * mk(pv)[0] * np.eye(1), np.zeros((1, 1)), 2 * mk(pv)[1] * np.eye(1)
+        stage_hess=lambda x, u, pv: tuple(blocks(x, 2 * mk(pv)[0], 0.0, 2 * mk(pv)[1])),
+        stage_phi=lambda x, u, pv: np.stack(
+            [x[..., 0] ** 2, u[..., 0] ** 2, np.zeros(x.shape[:-1])], axis=-1
         ),
-        stage_phi=lambda x, u, pv: np.array([x[0] ** 2, u[0] ** 2, 0.0]),
         stage_grad_phi=lambda x, u, pv: (
-            np.array([[2 * x[0], 0.0, 0.0]]), np.array([[0.0, 2 * u[0], 0.0]])
+            np.stack([2 * x, np.zeros(x.shape), np.zeros(x.shape)], axis=-1),
+            np.stack([np.zeros(u.shape), 2 * u, np.zeros(u.shape)], axis=-1),
         ),
         terminal_cost=lambda x, pv: float(x[0] ** 2),
         terminal_grad=lambda x, pv: 2 * x,
@@ -99,13 +104,10 @@ def test_dead_parameter_entry_is_structurally_zero():
         terminal_phi=lambda x, pv: np.zeros(3),
         terminal_grad_phi=lambda x, pv: np.zeros((1, 3)),
         dynamics=lambda x, u, pv: 0.5 * x + u,
-        dynamics_jac=lambda x, u, pv: (
-            0.5 * x + u,
-            np.broadcast_to(0.5 * np.eye(1), x.shape[:-1] + (1, 1)),
-            np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
-        ),
-        dynamics_hess_vp=lambda x, u, pv, lam: np.zeros((2, 2)),
+        dynamics_jac=lambda x, u, pv: (0.5 * x + u, *blocks(x, 0.5, 1.0)),
+        dynamics_hess_vp=lambda x, u, pv, lam: np.zeros(lam.shape[:-1] + (2, 2)),
     )
+    assert validate_spec(spec, phi) == []
     s, a = np.array([1.2]), np.array([0.7])
     _, kkt = mpc_qvalue(spec, phi, s, a)
     res = grad_q_wrt_params(spec, phi, kkt)

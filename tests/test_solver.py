@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import scipy.linalg
 from qmpc import dp, solver
 from qmpc.envs import build_cstr_ocp
 from qmpc.errors import DivergenceError, InfeasibleError, NonConvergenceError
-from qmpc.ocp import build_lq_ocp
+from qmpc.ocp import STAGE_CALLBACKS, build_lq_ocp
+from qmpc.sensitivity import grad_q_wrt_params, jac_policy_wrt_params
 from qmpc.solver import (
     MPCController,
     SolverSettings,
@@ -18,7 +20,7 @@ from qmpc.solver import (
     mpc_qvalue,
     solve_ocp,
 )
-from tests.conftest import make_cstr_config, make_scalar_ocp
+from tests.conftest import make_scalar_ocp
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +239,22 @@ def test_input_shape_validation(lq2_ocp):
 
 
 def _logged(spec):
-    """Spec whose dynamics callbacks append to a log: D for dynamics, J for
-    dynamics_jac (with the batch shapes it received)."""
-    log, shapes = [], []
+    """Spec whose stage callbacks append (name, x shape, u shape) to a log."""
+    log = []
 
-    def dynamics(x, u, pv):
-        log.append("D")
-        return spec.dynamics(x, u, pv)
+    def logged(name, fn):
+        def call(x, u, *args):
+            log.append((name, np.shape(x), np.shape(u)))
+            return fn(x, u, *args)
 
-    def dynamics_jac(x, u, pv):
-        log.append("J")
-        shapes.append((np.shape(x), np.shape(u)))
-        return spec.dynamics_jac(x, u, pv)
+        return call
 
-    return dataclasses.replace(spec, dynamics=dynamics, dynamics_jac=dynamics_jac), log, shapes
+    callbacks = {
+        name: logged(name, getattr(spec, name))
+        for name in STAGE_CALLBACKS
+        if getattr(spec, name) is not None
+    }
+    return dataclasses.replace(spec, **callbacks), log
 
 
 @pytest.mark.parametrize("case", ["lq", "cstr"])
@@ -262,23 +266,68 @@ def test_one_batched_dynamics_jacobian_per_sqp_iterate(case, lq2_ocp, cstr_cfg, 
         spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98,
                                    terminal_weights=np.zeros(15))
         s, settings = np.array([0.8, 0.4, 130.0, 130.0]), SolverSettings(kkt_tol=1e-6)
-    logged, log, shapes = _logged(spec)
+    logged, log = _logged(spec)
     qp_solve = solver.qp_solve
 
     def logged_qp(*args, **kwargs):
-        log.append("Q")
+        log.append(("qp_solve", None, None))
         return qp_solve(*args, **kwargs)
 
     monkeypatch.setattr(solver, "qp_solve", logged_qp)
     _, report = solve_ocp(logged, phi, s, settings=settings)
     assert report.status == "converged" and report.iterations >= 1
-    trace = "".join(log)
+    letter = {"dynamics": "D", "dynamics_jac": "J", "qp_solve": "Q"}
+    trace = "".join(letter.get(name, "") for name, _, _ in log)
     # cold-start rollout, then per iterate one Jacobian call, its QP, and a
     # line search that evaluates the dynamics without Jacobians
     assert re.fullmatch(r"D*J(QD+J)*", trace), trace
     assert trace.count("Q") == report.iterations
     assert trace.count("J") == report.iterations + 1
-    assert set(shapes) == {((spec.H, spec.n), (spec.H, spec.m))}
+    shapes = {(x, u) for name, x, u in log if name == "dynamics_jac"}
+    assert shapes == {((spec.H, spec.n), (spec.H, spec.m))}
+
+
+def _traffic_case(case, H, lq2, cstr_cfg):
+    if case == "lq":
+        A, B, Qc, Rc, gamma, P, _ = lq2
+        spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H, gamma, u_lo=-1.0, u_hi=1.0)
+        return spec, phi, np.array([0.6, -0.4]), None
+    spec, phi = build_cstr_ocp(cstr_cfg, H=H, gamma=0.98, terminal_weights=np.zeros(15))
+    return spec, phi, np.array([0.8, 0.4, 130.0, 130.0]), SolverSettings(kkt_tol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
+    # every stage callback takes the whole horizon in one call, so an SQP
+    # iterate and a sensitivity evaluation make as many calls at H=50 as at
+    # H=5; only the cold-start rollout steps through the stages one by one
+    traffic = []
+    for H in (5, 50):
+        spec, phi, s, settings = _traffic_case(case, H, lq2, cstr_cfg)
+        logged, log = _logged(spec)
+        kkt, report = solve_ocp(logged, phi, s, settings=settings)
+        assert report.status == "converged" and report.iterations >= 1
+        one_stage = ((spec.n,), (spec.m,))
+        assert log[:H] == [("dynamics", *one_stage)] * H
+        batch = ((H, spec.n), (H, spec.m))
+        assert all((x, u) == batch for _, x, u in log[H:])
+        # each iterate evaluates with derivatives, each QP step adds the
+        # Hessian, and each line-search trial evaluates values only
+        it, trials = report.iterations, Counter(name for name, _, _ in log[H:])["dynamics"]
+        want = {
+            "stage_cost": it + 1 + trials, "stage_grad": it + 1, "stage_hess": it,
+            "dynamics_jac": it + 1, "dynamics": trials, "dynamics_hess_vp": it,
+            "ineq_constraints": it + 1 + trials, "ineq_jac": it + 1,
+        }
+        want = {name: k for name, k in want.items() if getattr(spec, name) is not None}
+        assert Counter(name for name, _, _ in log[H:]) == want
+
+        del log[:]
+        jac_policy_wrt_params(logged, phi, kkt)
+        grad_q_wrt_params(logged, phi, kkt)
+        assert all((x, u) == batch for _, x, u in log)
+        traffic.append(Counter(name for name, _, _ in log))
+    assert traffic[0] == traffic[1]
 
 
 @pytest.mark.parametrize("case", ["lq", "cstr"])
