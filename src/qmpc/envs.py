@@ -327,8 +327,8 @@ def build_cstr_ocp(
     (the move penalty is anchored to the reference input so the stage cost
     stays a pure state-input function).  Terminal cost is the negated
     reward-sign quadratic value model defined by ``terminal_weights`` — its
-    weights form the single learnable segment "V", so the stage, dynamics and
-    inequality phi-derivatives are left None.  Inequalities put box
+    weights form the single learnable segment "V", so the stage and dynamics
+    phi-derivatives are left None.  Inequalities put box
     constraints on inputs and states.
 
     Returns (spec, phi0) with phi0 holding the terminal weights.
@@ -379,8 +379,8 @@ def build_cstr_ocp(
     def terminal_phi(x, pv):
         return -vmodel(pv).features(x)
 
-    def terminal_grad_phi(x, pv):
-        return -vmodel(pv).features_jac(x).T
+    def terminal_grad_phi_vp(x, pv, dx):
+        return -vmodel(pv).features_jac(x) @ dx
 
     def dynamics(x, u, pv):
         return cstr_discrete(cfg, x, u)
@@ -415,7 +415,7 @@ def build_cstr_ocp(
         terminal_grad=terminal_grad,
         terminal_hess=terminal_hess,
         terminal_phi=terminal_phi,
-        terminal_grad_phi=terminal_grad_phi,
+        terminal_grad_phi_vp=terminal_grad_phi_vp,
         dynamics=dynamics,
         dynamics_jac=dynamics_jac,
         dynamics_hess_vp=None,  # Gauss-Newton treatment of the reactor model

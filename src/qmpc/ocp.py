@@ -24,12 +24,15 @@ from .errors import DimensionError
 
 FD_REL_TOL = 1e-4
 
-# every callback but the terminal ones takes a batch of stages
-STAGE_CALLBACKS = (
-    "stage_cost", "stage_grad", "stage_hess", "stage_phi", "stage_grad_phi", "dynamics",
-    "dynamics_jac", "dynamics_phi", "dynamics_jac_phi_vp", "dynamics_hess_vp",
-    "ineq_constraints", "ineq_jac", "ineq_phi", "ineq_jac_phi_vp",
-)
+# every callback but the terminal ones takes a batch of stages; each entry
+# names the arguments it takes after (X, U, phi): dynamics multipliers "lam",
+# and state and input directions "dx", "du"
+STAGE_CALLBACKS = {
+    "stage_cost": (), "stage_grad": (), "stage_hess": (), "stage_phi": (),
+    "stage_grad_phi_vp": ("dx", "du"), "dynamics": (), "dynamics_jac": (),
+    "dynamics_phi_vp": ("lam",), "dynamics_jac_phi_vp": ("lam", "dx", "du"),
+    "dynamics_hess_vp": ("lam",), "ineq_constraints": (), "ineq_jac": (),
+}
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,15 @@ class OCPSpec:
 
     Ten callbacks are required: the stage cost with ``stage_grad`` and
     ``stage_hess``, the terminal cost with ``terminal_grad``,
-    ``terminal_hess``, ``terminal_phi`` and ``terminal_grad_phi``, and the two
-    dynamics callbacks.
+    ``terminal_hess``, ``terminal_phi`` and ``terminal_grad_phi_vp``, and the
+    two dynamics callbacks.
 
     Every stage callback takes a batch of stages, states X (..., n) and
     inputs U (..., m), and returns its result with the same leading axes, so
     all H stages take one call; one stage is the batch without leading axes.
-    Multipliers come in with the same leading axes.  Only the terminal
-    callbacks take the single state x_H (n,).  For p = phi.size:
+    Multipliers Lam (..., n) and directions dX (..., n), dU (..., m) come in
+    with the same leading axes.  Only the terminal callbacks take the single
+    state x_H (n,).  For p = phi.size:
       stage_cost      -> l (...)
       stage_grad      -> (l_x (..., n), l_u (..., m))
       stage_hess      -> (l_xx (..., n,n), l_xu (..., n,m), l_uu (..., m,m))
@@ -120,24 +124,24 @@ class OCPSpec:
           evaluation of the model; its F equals dynamics(X, U, phi)
       terminal_grad   -> V_x (n,)
       terminal_hess   -> V_xx (n,n)
-      terminal_phi    -> dV/dphi (p,)
-      terminal_grad_phi -> d V_x/dphi (n,p)
 
     Stage inequalities h(x, u, phi) <= 0 have n_ineq rows; with n_ineq > 0,
     ``ineq_constraints`` -> h (..., n_ineq) and ``ineq_jac`` ->
     (h_x (..., n_ineq,n), h_u (..., n_ineq,m)) are required, and with
-    n_ineq == 0 every inequality callback stays None.
+    n_ineq == 0 both stay None.  The inequalities may not depend on phi.
 
-    The phi-derivatives of the stage cost, the dynamics and the inequalities
-    are optional.  None means "this term does not depend on phi": the
-    sensitivities skip it, and ``validate_spec`` still checks that the parent
-    callback does not move with phi.
-      stage_phi       -> dl/dphi (..., p)
-      stage_grad_phi  -> (d l_x/dphi (..., n,p), d l_u/dphi (..., m,p))
-      dynamics_phi    -> df/dphi (..., n,p)
-      dynamics_jac_phi_vp(X,U,phi,Lam) -> (d(f_x'lam)/dphi (..., n,p), d(f_u'lam)/dphi (..., m,p))
-      ineq_phi        -> dh/dphi (..., n_ineq,p)
-      ineq_jac_phi_vp(X,U,phi,Mu) -> (d(h_x'mu)/dphi (..., n,p), d(h_u'mu)/dphi (..., m,p))
+    Every phi-derivative is a vector-Jacobian product: the phi-gradient of a
+    scalar, the cost itself or a term contracted with a multiplier or a
+    direction, so none builds a matrix p wide.
+      terminal_phi                     -> dV/dphi (p,)
+      terminal_grad_phi_vp(x,phi,dx)   -> d(V_x.dx)/dphi (p,)
+      stage_phi                        -> dl/dphi (..., p)
+      stage_grad_phi_vp(X,U,phi,dX,dU) -> d(l_x.dX + l_u.dU)/dphi (..., p)
+      dynamics_phi_vp(X,U,phi,Lam)     -> d(Lam.f)/dphi (..., p)
+      dynamics_jac_phi_vp(X,U,phi,Lam,dX,dU) -> d(Lam.(f_x dX + f_u dU))/dphi (..., p)
+    The stage and dynamics ones are optional.  None means "this term does not
+    depend on phi": the sensitivities skip it, and ``validate_spec`` still
+    checks that the parent callback does not move with phi.
 
     ``dynamics_hess_vp(X,U,phi,Lam)`` -> (..., n+m, n+m) sum_i lam_i * hess f_i
     is the dynamics curvature.  A callback that returns zeros declares a linear
@@ -158,19 +162,17 @@ class OCPSpec:
     terminal_grad: Callable
     terminal_hess: Callable
     terminal_phi: Callable
-    terminal_grad_phi: Callable
+    terminal_grad_phi_vp: Callable
     dynamics: Callable
     dynamics_jac: Callable
     stage_phi: Callable | None = None
-    stage_grad_phi: Callable | None = None
-    dynamics_phi: Callable | None = None
+    stage_grad_phi_vp: Callable | None = None
+    dynamics_phi_vp: Callable | None = None
     dynamics_jac_phi_vp: Callable | None = None
     dynamics_hess_vp: Callable | None = None
     n_ineq: int = 0
     ineq_constraints: Callable | None = None
     ineq_jac: Callable | None = None
-    ineq_phi: Callable | None = None
-    ineq_jac_phi_vp: Callable | None = None
     # input used when rolling out a cold-start iterate; zero when omitted
     u_init: np.ndarray | None = None
 
@@ -187,9 +189,8 @@ class OCPSpec:
             raise ValueError("n_ineq inconsistent with ineq_constraints")
         if self.n_ineq > 0 and self.ineq_jac is None:
             raise ValueError("n_ineq > 0 requires ineq_jac")
-        stray = [f for f in ("ineq_jac", "ineq_phi", "ineq_jac_phi_vp") if getattr(self, f) is not None]
-        if self.n_ineq == 0 and stray:
-            raise ValueError(f"n_ineq == 0 leaves no rows for {', '.join(stray)}")
+        if self.n_ineq == 0 and self.ineq_jac is not None:
+            raise ValueError("n_ineq == 0 leaves no rows for ineq_jac")
 
     def stage_weights(self) -> tuple[np.ndarray, float]:
         """(w_0..w_{H-1}, w_H): gamma powers, or all ones when discounting is off."""
@@ -208,20 +209,11 @@ def _matvec(W: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (W @ v[..., None])[..., 0]
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of the trailing two axes, batched over the leading axes of either
-    factor; each entry is the same single product a_ij * b_kl."""
-    r1, c1 = a.shape[-2:]
-    r2, c2 = b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (r1 * r2, c1 * c2))
-
-
-def _sym_quad_grad_wrt_w(x: np.ndarray) -> np.ndarray:
-    """d/dvec(W) of (W + W')x for row-major vec, shape (..., n, n^2) for x (..., n)."""
-    eye = np.eye(x.shape[-1])
-    xr = x[..., None, :]
-    return _kron(eye, xr) + _kron(xr, eye)
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-major vec of the outer product a b' for every stage of a (..., k),
+    b (..., l): shape (..., k*l)."""
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
 
 
 def build_lq_ocp(
@@ -298,18 +290,20 @@ def build_lq_ocp(
         _, _, Q, R, _ = mats(pv)
         return _tile(x.shape[:-1], Q + Q.T, np.zeros((n, m)), R + R.T)
 
-    def stage_phi(x, u, pv):
-        out = np.zeros(x.shape[:-1] + (p,))
-        out[..., sl["Q"]] = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
-        out[..., sl["R"]] = (u[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (m * m,))
+    def vec(**blocks):
+        """The (..., p) vector holding each named segment's vec'd block."""
+        batch = np.broadcast_shapes(*(b.shape[:-1] for b in blocks.values()))
+        out = np.zeros(batch + (p,))
+        for name, block in blocks.items():
+            out[..., sl[name]] = block
         return out
 
-    def stage_grad_phi(x, u, pv):
-        dlx = np.zeros(x.shape[:-1] + (n, p))
-        dlu = np.zeros(x.shape[:-1] + (m, p))
-        dlx[..., sl["Q"]] = _sym_quad_grad_wrt_w(x)
-        dlu[..., sl["R"]] = _sym_quad_grad_wrt_w(u)
-        return dlx, dlu
+    # every phi-derivative is linear in one matrix, so each is an outer product
+    def stage_phi(x, u, pv):
+        return vec(Q=_outer(x, x), R=_outer(u, u))
+
+    def stage_grad_phi_vp(x, u, pv, dx, du):
+        return vec(Q=_outer(dx, x) + _outer(x, dx), R=_outer(du, u) + _outer(u, du))
 
     def terminal_cost(x, pv):
         P = mats(pv)[4]
@@ -324,14 +318,10 @@ def build_lq_ocp(
         return P + P.T
 
     def terminal_phi(x, pv):
-        out = np.zeros(p)
-        out[sl["P"]] = np.outer(x, x).ravel()
-        return out
+        return vec(P=_outer(x, x))
 
-    def terminal_grad_phi(x, pv):
-        out = np.zeros((n, p))
-        out[:, sl["P"]] = _sym_quad_grad_wrt_w(x)
-        return out
+    def terminal_grad_phi_vp(x, pv, dx):
+        return vec(P=_outer(dx, x) + _outer(x, dx))
 
     def dynamics(x, u, pv):
         Am, Bm = mats(pv)[:2]
@@ -342,19 +332,11 @@ def build_lq_ocp(
         F = dynamics(x, u, pv)
         return (F, *_tile(F.shape[:-1], Am, Bm))
 
-    def dynamics_phi(x, u, pv):
-        out = np.zeros(x.shape[:-1] + (n, p))
-        out[..., sl["A"]] = _kron(np.eye(n), x[..., None, :])
-        out[..., sl["B"]] = _kron(np.eye(n), u[..., None, :])
-        return out
+    def dynamics_phi_vp(x, u, pv, lam):
+        return vec(A=_outer(lam, x), B=_outer(lam, u))
 
-    def dynamics_jac_phi_vp(x, u, pv, lam):
-        # d(A'lam)/dvec(A) and d(B'lam)/dvec(B); each lands in its own segment.
-        dx = np.zeros(lam.shape[:-1] + (n, p))
-        du = np.zeros(lam.shape[:-1] + (m, p))
-        dx[..., sl["A"]] = _kron(lam[..., None, :], np.eye(n))
-        du[..., sl["B"]] = _kron(lam[..., None, :], np.eye(m))
-        return dx, du
+    def dynamics_jac_phi_vp(x, u, pv, lam, dx, du):
+        return vec(A=_outer(lam, dx), B=_outer(lam, du))
 
     def dynamics_hess_vp(x, u, pv, lam):
         return np.zeros(lam.shape[:-1] + (n + m, n + m))
@@ -377,7 +359,6 @@ def build_lq_ocp(
         def ineq_jac(x, u, pv):
             return _tile(u.shape[:-1], np.zeros((n_ineq, n)), Hu)
 
-        # the bounds do not depend on phi: no ineq_phi / ineq_jac_phi_vp
         kwargs = dict(n_ineq=n_ineq, ineq_constraints=ineq_constraints, ineq_jac=ineq_jac)
 
     spec = OCPSpec(
@@ -390,15 +371,15 @@ def build_lq_ocp(
         stage_grad=stage_grad,
         stage_hess=stage_hess,
         stage_phi=stage_phi,
-        stage_grad_phi=stage_grad_phi,
+        stage_grad_phi_vp=stage_grad_phi_vp,
         terminal_cost=terminal_cost,
         terminal_grad=terminal_grad,
         terminal_hess=terminal_hess,
         terminal_phi=terminal_phi,
-        terminal_grad_phi=terminal_grad_phi,
+        terminal_grad_phi_vp=terminal_grad_phi_vp,
         dynamics=dynamics,
         dynamics_jac=dynamics_jac,
-        dynamics_phi=dynamics_phi,
+        dynamics_phi_vp=dynamics_phi_vp,
         dynamics_jac_phi_vp=dynamics_jac_phi_vp,
         dynamics_hess_vp=dynamics_hess_vp,  # identically zero: linear model
         **kwargs,
@@ -445,16 +426,17 @@ def validate_spec(
 ) -> list[str]:
     """Check callback shapes and derivative consistency by finite differences.
 
-    Probes a handful of random points; every first derivative (in x, u, and
-    phi) is compared against central differences of its parent callback at
-    relative tolerance 1e-4; each ``*_jac_phi_vp`` against differences of its
-    Jacobian's transpose times a random multiplier, d(f_x'lam)/dphi for the
-    dynamics and d(h_x'mu)/dphi for the constraints.  A phi-derivative left
-    None counts as an exact zero and is checked the same way, so a spec that
-    declares None for a term that reads phi gets a finding.  The state returned by
-    ``dynamics_jac`` must equal ``dynamics``, and every stage callback, given
-    all probe points as one batch, must return the per-point results
-    (relative tolerance 1e-12).
+    Probes a handful of random points; every first derivative in x and u is
+    compared against central differences of its parent callback at relative
+    tolerance 1e-4.  Every phi-derivative is compared the same way against the
+    phi-differences of its parent contracted with the random multiplier or
+    directions it takes, so one check covers both the x and the u half of a
+    Jacobian product.  A phi-derivative left None counts as an exact zero and
+    is checked the same way, so a spec that declares None for a term that
+    reads phi gets a finding; the inequalities must not move with phi at all.
+    The state returned by ``dynamics_jac`` must equal ``dynamics``, and every
+    stage callback, given all probe points as one batch, must return the
+    per-point results (relative tolerance 1e-12).
     Returns human-readable findings; empty means the spec passed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
@@ -472,9 +454,21 @@ def validate_spec(
         elif dev > FD_REL_TOL:
             findings.append(f"{name}: max relative deviation {dev:.2e} vs finite differences")
 
+    def check_phi(name, analytic, parent):
+        """Check a phi-derivative against central differences in phi of
+        parent(phi), the contraction it claims to differentiate."""
+        try:
+            numeric = _fd_jac(lambda v: parent(phi.with_vector(v)), phi.phi)
+        except ValueError as exc:  # the parent's result has the wrong shape
+            findings.append(f"{name}: its parent does not contract: {exc}")
+            return
+        check(name, analytic, numeric)
+
     X, U = rng.normal(size=(3, n)), rng.normal(size=(3, m))
-    LAM, MU = rng.normal(size=(3, n)), rng.normal(size=(3, spec.n_ineq))
-    for x, u, lam, mu in zip(X, U, LAM, MU):
+    # multipliers and directions, by the argument names of STAGE_CALLBACKS
+    args = {"lam": rng.normal(size=(3, n)), "dx": rng.normal(size=(3, n)),
+            "du": rng.normal(size=(3, m))}
+    for x, u, lam, dx, du in zip(X, U, args["lam"], args["dx"], args["du"]):
         lx, lu = spec.stage_grad(x, u, phi)
         check("stage_grad[x]", lx, _fd_jac(lambda v: spec.stage_cost(v, u, phi), x))
         check("stage_grad[u]", lu, _fd_jac(lambda v: spec.stage_cost(x, v, phi), u))
@@ -482,61 +476,35 @@ def validate_spec(
         check("stage_hess[xx]", lxx, _fd_jac(lambda v: spec.stage_grad(v, u, phi)[0], x))
         check("stage_hess[xu]", lxu, _fd_jac(lambda v: spec.stage_grad(x, v, phi)[0], u))
         check("stage_hess[uu]", luu, _fd_jac(lambda v: spec.stage_grad(x, v, phi)[1], u))
-        check(
-            "stage_phi",
-            _call(spec.stage_phi, x, u, phi),
-            _fd_jac(lambda v: spec.stage_cost(x, u, phi.with_vector(v)), phi.phi),
-        )
-        dlx, dlu = _call(spec.stage_grad_phi, x, u, phi) or (None, None)
-        check(
-            "stage_grad_phi[x]",
-            dlx,
-            _fd_jac(lambda v: spec.stage_grad(x, u, phi.with_vector(v))[0], phi.phi),
-        )
-        check(
-            "stage_grad_phi[u]",
-            dlu,
-            _fd_jac(lambda v: spec.stage_grad(x, u, phi.with_vector(v))[1], phi.phi),
-        )
         check("terminal_grad", spec.terminal_grad(x, phi),
               _fd_jac(lambda v: spec.terminal_cost(v, phi), x))
         check("terminal_hess", spec.terminal_hess(x, phi),
               _fd_jac(lambda v: spec.terminal_grad(v, phi), x))
-        check(
-            "terminal_phi",
-            spec.terminal_phi(x, phi),
-            _fd_jac(lambda v: spec.terminal_cost(x, phi.with_vector(v)), phi.phi),
-        )
-        check(
-            "terminal_grad_phi",
-            spec.terminal_grad_phi(x, phi),
-            _fd_jac(lambda v: spec.terminal_grad(x, phi.with_vector(v)), phi.phi),
-        )
         f, fx, fu = spec.dynamics_jac(x, u, phi)
         if _rel_dev(f, spec.dynamics(x, u, phi)) > 1e-12:
             findings.append("dynamics_jac[F]: differs from dynamics")
         check("dynamics_jac[x]", fx, _fd_jac(lambda v: spec.dynamics(v, u, phi), x))
         check("dynamics_jac[u]", fu, _fd_jac(lambda v: spec.dynamics(x, v, phi), u))
-        check(
-            "dynamics_phi",
-            _call(spec.dynamics_phi, x, u, phi),
-            _fd_jac(lambda v: spec.dynamics(x, u, phi.with_vector(v)), phi.phi),
-        )
-        djx, dju = _call(spec.dynamics_jac_phi_vp, x, u, phi, lam) or (None, None)
-        check(
-            "dynamics_jac_phi_vp[x]",
-            djx,
-            _fd_jac(
-                lambda v: spec.dynamics_jac(x, u, phi.with_vector(v))[1].T @ lam, phi.phi
-            ),
-        )
-        check(
-            "dynamics_jac_phi_vp[u]",
-            dju,
-            _fd_jac(
-                lambda v: spec.dynamics_jac(x, u, phi.with_vector(v))[2].T @ lam, phi.phi
-            ),
-        )
+
+        def grad_along(pv):  # l_x.dx + l_u.du
+            gx, gu = spec.stage_grad(x, u, pv)
+            return gx @ dx + gu @ du
+
+        def jac_along(pv):  # lam.(f_x dx + f_u du)
+            _, jx, ju = spec.dynamics_jac(x, u, pv)
+            return lam @ (jx @ dx + ju @ du)
+
+        check_phi("stage_phi", _call(spec.stage_phi, x, u, phi),
+                  lambda pv: spec.stage_cost(x, u, pv))
+        check_phi("stage_grad_phi_vp", _call(spec.stage_grad_phi_vp, x, u, phi, dx, du),
+                  grad_along)
+        check_phi("terminal_phi", spec.terminal_phi(x, phi), lambda pv: spec.terminal_cost(x, pv))
+        check_phi("terminal_grad_phi_vp", spec.terminal_grad_phi_vp(x, phi, dx),
+                  lambda pv: spec.terminal_grad(x, pv) @ dx)
+        check_phi("dynamics_phi_vp", _call(spec.dynamics_phi_vp, x, u, phi, lam),
+                  lambda pv: lam @ spec.dynamics(x, u, pv))
+        check_phi("dynamics_jac_phi_vp", _call(spec.dynamics_jac_phi_vp, x, u, phi, lam, dx, du),
+                  jac_along)
         if spec.dynamics_hess_vp is not None:
             hv = spec.dynamics_hess_vp(x, u, phi, lam)
 
@@ -551,35 +519,18 @@ def validate_spec(
             )
         if spec.n_ineq == 0:
             continue
-        cons, jac = spec.ineq_constraints, spec.ineq_jac
-        cx, cu = jac(x, u, phi)
+        cons = spec.ineq_constraints
+        cx, cu = spec.ineq_jac(x, u, phi)
         check("ineq_jac[x]", cx, _fd_jac(lambda v: cons(v, u, phi), x))
         check("ineq_jac[u]", cu, _fd_jac(lambda v: cons(x, v, phi), u))
-        check(
-            "ineq_phi",
-            _call(spec.ineq_phi, x, u, phi),
-            _fd_jac(lambda v: cons(x, u, phi.with_vector(v)), phi.phi),
-        )
-        dcx, dcu = _call(spec.ineq_jac_phi_vp, x, u, phi, mu) or (None, None)
-        check(
-            "ineq_jac_phi_vp[x]",
-            dcx,
-            _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[0].T @ mu, phi.phi),
-        )
-        check(
-            "ineq_jac_phi_vp[u]",
-            dcu,
-            _fd_jac(lambda v: jac(x, u, phi.with_vector(v))[1].T @ mu, phi.phi),
-        )
+        check_phi("ineq_constraints[phi]", np.zeros((spec.n_ineq, phi.size)),
+                  lambda pv: cons(x, u, pv))
 
-    multipliers = {
-        "dynamics_jac_phi_vp": (LAM,), "dynamics_hess_vp": (LAM,), "ineq_jac_phi_vp": (MU,)
-    }
-    for name in STAGE_CALLBACKS:
+    for name, arg_names in STAGE_CALLBACKS.items():
         fn = getattr(spec, name)
         if fn is None:
             continue
-        extra = multipliers.get(name, ())
+        extra = [args[a] for a in arg_names]
         single = [_parts(fn(x, u, phi, *v)) for x, u, *v in zip(X, U, *extra)]
         try:
             batched = _parts(fn(X, U, phi, *extra))

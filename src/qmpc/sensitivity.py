@@ -1,16 +1,21 @@
 """Parameter sensitivities of the OCP value and policy.
 
-Two routes, both taken at a converged KKT point:
+Both routes are taken at a converged KKT point, and both go through the
+phi-gradient of the Lagrangian L = cost + lam'c + mu'h, assembled from the
+spec's vector-Jacobian products, so no matrix p wide is ever built:
 
 * value gradient — the envelope theorem: the derivative of the optimal pinned
-  cost w.r.t. parameters is the explicit parameter gradient of the Lagrangian,
-  the primal-dual point held fixed;
-* policy Jacobian — implicit differentiation of the stationarity system with
-  the active set frozen, solved for the first-input rows of dz/dphi.
+  cost w.r.t. parameters is dL/dphi with the primal-dual point held fixed;
+* policy Jacobian — implicit differentiation of the KKT system with the
+  active set frozen, by its adjoint, the backward pass of OptNet (Amos &
+  Kolter, ICML 2017) and of differentiable MPC (Amos et al., NeurIPS 2018):
+  one solve of the symmetric KKT matrix for the m unit right-hand sides of
+  the u_0 rows gives, for each input, the primal-dual direction along which
+  dL/dphi is differentiated.
 
 Nonsmooth points (weakly active constraints, near-touching inactive ones, or
 rank-deficient constraint gradients) are tagged degenerate rather than
-smoothed; callers decide whether to drop or fall back to finite differences.
+smoothed; callers decide whether to drop them.
 """
 
 from __future__ import annotations
@@ -53,146 +58,129 @@ class SensitivityResult:
     grad_value: np.ndarray | None
     jac_action: np.ndarray | None
     regularity: str
-    method: str  # analytic | finite_difference
     approximate: bool = False
 
 
-def _check_converged(kkt: KKTPoint, want_pinned: bool | None = None):
+def _check_converged(kkt: KKTPoint):
     if kkt.kkt_residual > CONVERGED_TOL:
         raise QmpcError(
             f"sensitivities need a converged KKT point (residual {kkt.kkt_residual:.2e})"
         )
-    if want_pinned is False and kkt.pinned_a is not None:
-        raise QmpcError("policy Jacobian needs a free solve")
 
 
 def _regularity(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> str:
     """Strict complementarity check around the reported active set."""
+    if not spec.n_ineq:
+        return "strict"
     st = _Stacker(spec, kkt.pinned_a is not None)
-    _, _, h, _ = _eval_constraints(st, phi, kkt.z, kkt.s, kkt.pinned_a, with_jac=False)
+    h = spec.ineq_constraints(st.states(kkt.z, kkt.s)[:-1], st.inputs(kkt.z), phi).ravel()
     active = np.zeros(h.size, dtype=bool)
     active[kkt.active_set] = True
     weak = np.any(kkt.mu[active] < DEGENERACY_TOL) or np.any(np.abs(h[~active]) < DEGENERACY_TOL)
     return "degenerate" if weak else "strict"
 
 
-def _phi_jacobians(st: _Stacker, spec: OCPSpec, phi, z, s, lam, mu):
-    """Explicit phi-derivatives: of the Lagrangian z-gradient (nz, p), of the
-    equality rows (n_eq_rows, p), and of the inequality rows (n_in, p).
-    A phi-derivative callback that is None contributes nothing."""
-    H, p = spec.H, phi.size
-    xs = st.states(z, s)
-    X, U = xs[:-1], st.inputs(z)
+def _lagrangian_phi_grad(st: _Stacker, phi, z, s, lam, direction=None):
+    """dL/dphi at the primal-dual point (z, lam), shape (p,); or, given k
+    primal-dual directions (dz (k, nz), dlam (k, n_eq_rows)), the derivative
+    along each, d/dphi (grad_z L . dz + c . dlam), shape (k, p).
+
+    The inequalities do not depend on phi, so mu drops out, and so do the pin
+    rows.  A phi-derivative callback that is None contributes nothing.
+    """
+    spec = st.spec
+    H = spec.H
     w, wH = spec.stage_weights()
-    Mz = np.zeros((st.nz, p))
-    Cphi = np.zeros((st.n_eq_rows, p))
-    Hphi = np.zeros((st.n_in_rows, p))
-    if spec.stage_grad_phi is not None:
-        dlx, dlu = spec.stage_grad_phi(X, U, phi)
-        Mz[st.x_idx[:-1]] += w[1:, None, None] * dlx[1:]
-        Mz[st.u_idx] += w[:, None, None] * dlu
-    if spec.dynamics_jac_phi_vp is not None:
-        djx, dju = spec.dynamics_jac_phi_vp(X, U, phi, lam[: st.n_dyn].reshape(H, spec.n))
-        Mz[st.x_idx[:-1]] -= djx[1:]
-        Mz[st.u_idx] -= dju
-    if spec.dynamics_phi is not None:
-        Cphi[: st.n_dyn] = -spec.dynamics_phi(X, U, phi).reshape(st.n_dyn, p)
-    if spec.ineq_jac_phi_vp is not None:
-        dhx, dhu = spec.ineq_jac_phi_vp(X, U, phi, mu.reshape(H, spec.n_ineq))
-        Mz[st.x_idx[:-1]] += dhx[1:]
-        Mz[st.u_idx] += dhu
-    if spec.ineq_phi is not None:
-        Hphi[:] = spec.ineq_phi(X, U, phi).reshape(st.n_in_rows, p)
-    Mz[st.x_idx[-1]] += wH * spec.terminal_grad_phi(xs[H], phi)
-    return Mz, Cphi, Hphi
+    xs = st.states(z, s)
+    X, U, Lam = xs[:-1], st.inputs(z), lam[st.x_idx]
+    if direction is None:
+        terminal = spec.terminal_phi(xs[H], phi)
+        terms = [(w[:, None], spec.stage_phi, (X, U, phi)),
+                 (-1.0, spec.dynamics_phi_vp, (X, U, phi, Lam))]
+    else:
+        dz, dlam = direction
+        k = dz.shape[0]
+        # dx_0 = 0: x_0 = s is data
+        dxs = np.concatenate([np.zeros((k, 1, spec.n)), dz[:, st.x_idx]], axis=1)
+        dX, dU = dxs[:, :-1], dz[:, st.u_idx]
+        X, U, Lam = (np.broadcast_to(a, (k,) + a.shape) for a in (X, U, Lam))
+        terminal = np.array([spec.terminal_grad_phi_vp(xs[H], phi, dx) for dx in dxs[:, H]])
+        terms = [(w[:, None], spec.stage_grad_phi_vp, (X, U, phi, dX, dU)),
+                 (-1.0, spec.dynamics_jac_phi_vp, (X, U, phi, Lam, dX, dU)),
+                 (-1.0, spec.dynamics_phi_vp, (X, U, phi, dlam[:, st.x_idx]))]
+    grad = wH * terminal
+    for scale, fn, args in terms:
+        if fn is not None:
+            # the stages are added in order
+            grad = grad + np.sum(scale * fn(*args), axis=-2)
+    return grad
 
 
 def grad_q_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> SensitivityResult:
     """Gradient of the pinned optimal cost w.r.t. phi (envelope theorem).
 
-    Only the explicit parameter dependence of cost, dynamics, and constraints
-    contributes; the primal-dual point is held fixed.  Works for pinned solves
-    (gradient of Q) and free solves alike (gradient of the optimal value).
+    Only the explicit parameter dependence of cost and dynamics contributes;
+    the primal-dual point is held fixed.  Works for pinned solves (gradient
+    of Q) and free solves alike (gradient of the optimal value).
     """
     _check_converged(kkt)
     st = _Stacker(spec, kkt.pinned_a is not None)
-    _, Cphi, Hphi = _phi_jacobians(st, spec, phi, kkt.z, kkt.s, kkt.lam, kkt.mu)
-    xs = st.states(kkt.z, kkt.s)
-    w, wH = spec.stage_weights()
-    grad = np.zeros(phi.size)
-    if spec.stage_phi is not None:
-        # added stage by stage, in order
-        grad = sum(w[:, None] * spec.stage_phi(xs[:-1], st.inputs(kkt.z), phi), grad)
-    grad += wH * spec.terminal_phi(xs[spec.H], phi)
-    grad += Cphi.T @ kkt.lam
-    if st.n_in_rows:
-        grad += Hphi.T @ kkt.mu
     return SensitivityResult(
-        grad_value=grad,
+        grad_value=_lagrangian_phi_grad(st, phi, kkt.z, kkt.s, kkt.lam),
         jac_action=None,
         regularity=_regularity(spec, phi, kkt),
-        method="analytic",
         approximate=spec.dynamics_hess_vp is None,
     )
 
 
 def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> SensitivityResult:
-    """Jacobian of the first optimal input w.r.t. phi.
+    """Jacobian of the first optimal input w.r.t. phi, by one adjoint solve.
 
-    Differentiates the KKT stationarity system with the active set frozen:
+    Differentiating the KKT system with the active set frozen gives
 
-        [ H_L   C_eq'  C_A' ] [ dz    ]     [ dL_z/dphi  ]
-        [ C_eq   0      0   ] [ dlam  ] = - [ dc/dphi    ]
-        [ C_A    0      0   ] [ dmu_A ]     [ dh_A/dphi  ]
+        K [dz; dlam; dmu_A] = -[d(grad_z L)/dphi; dc/dphi; 0],
+        K = [[H_L, C_eq', C_A'], [C_eq, 0, 0], [C_A, 0, 0]],
 
-    and returns the u_0 rows of dz/dphi.  A singular system or a failed
+    and du_0/dphi = E' [dz; ...] for the selector E of the u_0 rows.  K is
+    symmetric, so one solve K Y = E, for the m columns of E at once, turns
+    the Jacobian into -d/dphi (grad_z L . dz + c . dlam) along the m
+    directions (dz, dlam) that Y holds.  A singular system or a failed
     regularity check yields regularity="degenerate".  The dynamics rows are
-    full rank by construction, so LICQ reduces to full row rank of the active
-    inequality rows on their null space.
+    full rank by construction, so LICQ reduces to full row rank of the
+    active inequality rows on their null space.
     """
-    _check_converged(kkt, want_pinned=False)
+    _check_converged(kkt)
+    if kkt.pinned_a is not None:
+        raise QmpcError("policy Jacobian needs a free solve")
     st = _Stacker(spec, False)
-    z, s, lam, mu = kkt.z, kkt.s, kkt.lam, kkt.mu
+    z, s, lam = kkt.z, kkt.s, kkt.lam
     c, C, _, Hj = _eval_constraints(st, phi, z, s, None)
-    HL = _lagrangian_hessian(st, phi, z, s, lam)
-    Mz, Cphi, Hphi = _phi_jacobians(st, spec, phi, z, s, lam, mu)
-
-    active = np.asarray(kkt.active_set, dtype=int)
-    C_A = Hj[active] if active.size else np.zeros((0, st.nz))
-    Hphi_A = Hphi[active] if active.size else np.zeros((0, phi.size))
-
+    C_A = Hj[np.asarray(kkt.active_set, dtype=int)]
     regularity = _regularity(spec, phi, kkt)
-    n_lam = st.n_eq_rows
-    n_act = active.size
-    dim = st.nz + n_lam + n_act
+    if C_A.size and np.linalg.matrix_rank(C_A @ _condense(st, C, c)[0]) < C_A.shape[0]:
+        regularity = "degenerate"
+
+    nz, n_lam = st.nz, st.n_eq_rows
+    dim = nz + n_lam + C_A.shape[0]
+    G = np.vstack([C, C_A])
     K = np.zeros((dim, dim))
-    K[: st.nz, : st.nz] = HL
-    K[: st.nz, st.nz : st.nz + n_lam] = C.T
-    K[st.nz : st.nz + n_lam, : st.nz] = C
-    if n_act:
-        K[: st.nz, st.nz + n_lam :] = C_A.T
-        K[st.nz + n_lam :, : st.nz] = C_A
-    rhs = -np.vstack([Mz, Cphi, Hphi_A])
-
-    if n_act and np.linalg.matrix_rank(C_A @ _condense(st, C, c)[0]) < n_act:
-        regularity = "degenerate"
-
+    K[:nz, :nz] = _lagrangian_hessian(st, phi, z, s, lam)
+    K[:nz, nz:] = G.T
+    K[nz:, :nz] = G
+    E = np.zeros((dim, spec.m))
+    E[st.u_idx[0], np.arange(spec.m)] = 1.0
     try:
-        X = np.linalg.solve(K, rhs)
-        resid = float(np.max(np.abs(K @ X - rhs))) if rhs.size else 0.0
+        Y = np.linalg.solve(K, E)
     except np.linalg.LinAlgError:
-        X = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        resid = float(np.max(np.abs(K @ X - rhs)))
-        regularity = "degenerate"
-    if resid > 1e-6 * (1.0 + float(np.max(np.abs(rhs)))):
+        Y, regularity = np.linalg.lstsq(K, E, rcond=None)[0], "degenerate"
+    if np.max(np.abs(K @ Y - E)) > 2e-6:  # 1e-6 relative to 1 + max|E|
         regularity = "degenerate"
 
-    jac = X[st.u_idx[0]]
+    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, (Y[:nz].T, Y[nz : nz + n_lam].T))
     return SensitivityResult(
         grad_value=None,
         jac_action=jac,
         regularity=regularity,
-        method="analytic",
         approximate=spec.dynamics_hess_vp is None,
     )
 

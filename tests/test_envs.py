@@ -247,8 +247,7 @@ def test_cstr_ocp_derivatives_are_consistent(cstr_cfg):
                                terminal_weights=np.zeros(15))
     assert validate_spec(spec, phi) == []
     # only the terminal cost reads phi; every other phi-derivative is left out
-    for name in ("stage_phi", "stage_grad_phi", "dynamics_phi", "dynamics_jac_phi_vp",
-                 "ineq_phi", "ineq_jac_phi_vp"):
+    for name in ("stage_phi", "stage_grad_phi_vp", "dynamics_phi_vp", "dynamics_jac_phi_vp"):
         assert getattr(spec, name) is None, name
     assert spec.dynamics_hess_vp is None  # Gauss-Newton curvature treatment
     np.testing.assert_array_equal(spec.u_init, cstr_cfg.reference_input)

@@ -84,10 +84,9 @@ def test_spec_rejects_bad_scalars(lq2_ocp):
         dataclasses.replace(spec, u_init=np.zeros(3))
 
 
-@pytest.mark.parametrize("name", ["ineq_jac", "ineq_phi", "ineq_jac_phi_vp"])
+@pytest.mark.parametrize("name", ["ineq_jac"])
 def test_spec_rejects_inequality_callbacks_without_rows(lq2_ocp, name):
-    # with n_ineq == 0 they have no rows to act on; a stray ineq_phi used to
-    # build and then crash the envelope gradient with a broadcast error
+    # with n_ineq == 0 there are no rows for it to act on
     spec, phi = lq2_ocp
     with pytest.raises(ValueError, match=f"n_ineq == 0 leaves no rows for {name}"):
         dataclasses.replace(spec, **{name: _one_stage_lq(phi)[name]})
@@ -219,25 +218,23 @@ def test_validate_flags_wrong_dynamics_jacobian_block(lq2_ocp):
     assert all(not f.startswith("dynamics_jac[x]:") for f in findings)
 
 
-def test_validate_flags_wrong_inequality_phi_derivative(lq2):
+def test_validate_flags_skewed_phi_vjp(lq2):
     A, B, Qc, Rc, gamma, P, _ = lq2
     spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=3, gamma=gamma, u_lo=[-1.0], u_hi=[1.0])
     assert validate_spec(spec, phi) == []
-    # the bounds do not move with phi, so both derivatives are left out
-    assert spec.ineq_phi is None and spec.ineq_jac_phi_vp is None
-    n, m, p = spec.n, spec.m, phi.size
+    orig = spec.dynamics_jac_phi_vp
 
-    def skewed(x, u, pv, mu):
-        batch = mu.shape[:-1]
-        return np.zeros(batch + (n, p)), np.full(batch + (m, p), 0.1)
+    def skewed(x, u, pv, lam, dx, du):
+        # wrong in the input half only: one check covers both halves
+        return orig(x, u, pv, lam, dx, 1.1 * du)
 
-    findings = validate_spec(dataclasses.replace(spec, ineq_jac_phi_vp=skewed), phi)
-    assert any(f.startswith("ineq_jac_phi_vp[u]:") for f in findings)
-    assert all(not f.startswith("ineq_jac_phi_vp[x]:") for f in findings)
+    findings = validate_spec(dataclasses.replace(spec, dynamics_jac_phi_vp=skewed), phi)
+    assert findings
+    assert all(f.startswith("dynamics_jac_phi_vp:") for f in findings), findings
 
 
 @pytest.mark.parametrize(
-    "field", ["stage_phi", "stage_grad_phi", "dynamics_phi", "dynamics_jac_phi_vp"]
+    "field", ["stage_phi", "stage_grad_phi_vp", "dynamics_phi_vp", "dynamics_jac_phi_vp"]
 )
 def test_validate_flags_none_phi_derivative_of_phi_dependent_term(lq2_ocp, field):
     # the LQ cost reads Q and R and its model reads A and B, so declaring
@@ -256,14 +253,10 @@ def _one_stage_lq(phi):
     Hu = np.array([[1.0], [-1.0]])
 
     def at(**segments):
-        blocks = list(segments.values())
-        out = np.zeros(np.shape(blocks[0])[:-1] + (p,))
+        out = np.zeros(p)
         for name, block in segments.items():
-            out[..., sl[name]] = block
+            out[sl[name]] = block.ravel()
         return out
-
-    def sym(x):  # d/dvec(W) of (W + W')x
-        return np.kron(np.eye(x.size), x.reshape(1, -1)) + np.kron(x.reshape(1, -1), np.eye(x.size))
 
     def mat(pv, name):
         return pv.segment(name).reshape({"A": (2, 2), "B": (2, 1), "Q": (2, 2), "R": (1, 1)}[name])
@@ -286,22 +279,19 @@ def _one_stage_lq(phi):
         "stage_cost": cost,
         "stage_grad": grad,
         "stage_hess": hess,
-        "stage_phi": lambda x, u, pv: at(Q=np.outer(x, x).ravel(), R=np.outer(u, u).ravel()),
-        "stage_grad_phi": lambda x, u, pv: (at(Q=sym(x)), at(R=sym(u))),
+        "stage_phi": lambda x, u, pv: at(Q=np.outer(x, x), R=np.outer(u, u)),
+        "stage_grad_phi_vp": lambda x, u, pv, dx, du: at(
+            Q=np.outer(dx, x) + np.outer(x, dx), R=np.outer(du, u) + np.outer(u, du)
+        ),
         "dynamics": f,
         "dynamics_jac": lambda x, u, pv: (f(x, u, pv), mat(pv, "A"), mat(pv, "B")),
-        "dynamics_phi": lambda x, u, pv: at(
-            A=np.kron(np.eye(2), x.reshape(1, -1)), B=np.kron(np.eye(2), u.reshape(1, -1))
-        ),
-        "dynamics_jac_phi_vp": lambda x, u, pv, lam: (
-            at(A=np.kron(lam.reshape(1, -1), np.eye(2))),
-            at(B=np.kron(lam.reshape(1, -1), np.eye(1))),
+        "dynamics_phi_vp": lambda x, u, pv, lam: at(A=np.outer(lam, x), B=np.outer(lam, u)),
+        "dynamics_jac_phi_vp": lambda x, u, pv, lam, dx, du: at(
+            A=np.outer(lam, dx), B=np.outer(lam, du)
         ),
         "dynamics_hess_vp": lambda x, u, pv, lam: np.zeros((3, 3)),
         "ineq_constraints": lambda x, u, pv: Hu @ u + np.array([-1.0, -1.0]),
         "ineq_jac": lambda x, u, pv: (np.zeros((2, 2)), Hu),
-        "ineq_phi": lambda x, u, pv: np.zeros((2, p)),
-        "ineq_jac_phi_vp": lambda x, u, pv, mu: (np.zeros((2, p)), np.zeros((1, p))),
     }
 
 
@@ -375,14 +365,12 @@ def test_batched_stage_callbacks_round_like_one_stage(case, cstr_cfg):
         # a c_B whose (c_B - setpoint) ** 2 rounds apart as a scalar pow and
         # as an array square, with glibc's libm
         X[0, 1] = 0.3192048434535719
-    lam, mu = rng.normal(size=(50, spec.n)), rng.normal(size=(50, spec.n_ineq))
-    multipliers = {
-        "dynamics_jac_phi_vp": (lam,), "dynamics_hess_vp": (lam,), "ineq_jac_phi_vp": (mu,)
-    }
+    args = {"lam": rng.normal(size=(50, spec.n)), "dx": rng.normal(size=(50, spec.n)),
+            "du": rng.normal(size=(50, spec.m))}
     supplied = [name for name in STAGE_CALLBACKS if getattr(spec, name) is not None]
     assert set(supplied) <= set(one_stage)
     for name in supplied:
-        extra = multipliers.get(name, ())
+        extra = [args[a] for a in STAGE_CALLBACKS[name]]
         got = getattr(spec, name)(X, U, phi, *extra)
         want = [one_stage[name](x, u, phi, *v) for x, u, *v in zip(X, U, *extra)]
         if isinstance(got, tuple):

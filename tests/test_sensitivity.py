@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qmpc import dp
+from qmpc import dp, solver
 from qmpc.envs import build_cstr_ocp
 from qmpc.errors import QmpcError
-from qmpc.ocp import OCPSpec, ParameterVector, build_lq_ocp, validate_spec
+from qmpc.ocp import OCPSpec, ParameterVector, _fd_jac, _rel_dev, build_lq_ocp, validate_spec
 from qmpc.sensitivity import (
     finite_diff_check,
     grad_q_wrt_params,
@@ -32,7 +32,6 @@ def test_pinned_gradient_closed_form_one_step():
     s, a = np.array([1.2, -0.7]), np.array([0.4])
     _, kkt = mpc_qvalue(spec, phi, s, a)
     res = grad_q_wrt_params(spec, phi, kkt)
-    assert res.method == "analytic"
     assert res.regularity == "strict"
     assert res.approximate is False  # linear model ships exact curvature
 
@@ -94,15 +93,15 @@ def test_dead_parameter_entry_is_structurally_zero():
         stage_phi=lambda x, u, pv: np.stack(
             [x[..., 0] ** 2, u[..., 0] ** 2, np.zeros(x.shape[:-1])], axis=-1
         ),
-        stage_grad_phi=lambda x, u, pv: (
-            np.stack([2 * x, np.zeros(x.shape), np.zeros(x.shape)], axis=-1),
-            np.stack([np.zeros(u.shape), 2 * u, np.zeros(u.shape)], axis=-1),
+        stage_grad_phi_vp=lambda x, u, pv, dx, du: np.stack(
+            [2 * x[..., 0] * dx[..., 0], 2 * u[..., 0] * du[..., 0], np.zeros(dx.shape[:-1])],
+            axis=-1,
         ),
         terminal_cost=lambda x, pv: float(x[0] ** 2),
         terminal_grad=lambda x, pv: 2 * x,
         terminal_hess=lambda x, pv: 2 * np.eye(1),
         terminal_phi=lambda x, pv: np.zeros(3),
-        terminal_grad_phi=lambda x, pv: np.zeros((1, 3)),
+        terminal_grad_phi_vp=lambda x, pv, dx: np.zeros(3),
         dynamics=lambda x, u, pv: 0.5 * x + u,
         dynamics_jac=lambda x, u, pv: (0.5 * x + u, *blocks(x, 0.5, 1.0)),
         dynamics_hess_vp=lambda x, u, pv, lam: np.zeros(lam.shape[:-1] + (2, 2)),
@@ -201,6 +200,39 @@ def test_inert_input_sensitive_only_to_its_own_gain():
     # d a* / d b at b = 0 for the one-step problem: -gamma p A s / r
     want = -gamma * p * a_sc * s[0] / r
     assert jac[0, seg(phi, "B")][0] == pytest.approx(want, rel=1e-8)
+
+
+def test_adjoint_policy_jacobian_matches_forward_solve(cstr_cfg):
+    # reference: the forward implicit-function solve, one right-hand side per
+    # parameter, with the parameter derivatives of the stationarity and
+    # dynamics residuals taken by central differences.  The reactor's
+    # Gauss-Newton curvature keeps finite differences of the policy itself
+    # from checking its Jacobian, but not this identity.
+    spec, phi = build_cstr_ocp(cstr_cfg, H=3, gamma=0.98, terminal_weights=np.zeros(15))
+    s = np.array([1.73154751, 0.89446543, 132.22181346, 120.32711988])
+    settings = SolverSettings(kkt_tol=1e-8)
+    _, kkt = mpc_policy(spec, phi, s, settings=settings)
+    # c_B's upper bound binds at x_2 while the first input stays inside its box
+    np.testing.assert_array_equal(kkt.active_set, [29])
+    jac = jac_policy_wrt_params(spec, phi, kkt).jac_action
+    assert np.max(np.abs(jac)) > 1e3
+
+    st = solver._Stacker(spec, False)
+    z, lam = kkt.z, kkt.lam
+
+    def residual(v):
+        pv = phi.with_vector(v)
+        _, g = solver._eval_objective(st, pv, z, s)
+        c, C, _, _ = solver._eval_constraints(st, pv, z, s, None)
+        return np.concatenate([g + C.T @ lam, c])  # the inequality rows do not read phi
+
+    c, C, _, Hj = solver._eval_constraints(st, phi, z, s, None)
+    G = np.vstack([C, Hj[kkt.active_set]])
+    K = np.block([[solver._lagrangian_hessian(st, phi, z, s, lam), G.T],
+                  [G, np.zeros((len(G), len(G)))]])
+    rhs = -np.vstack([_fd_jac(residual, phi.phi), np.zeros((len(kkt.active_set), phi.size))])
+    forward = np.linalg.solve(K, rhs)[st.u_idx[0]]
+    assert _rel_dev(jac, forward) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -324,10 +324,58 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
 
         del log[:]
         jac_policy_wrt_params(logged, phi, kkt)
+        # the policy Jacobian's m adjoint directions come to each VJP as a
+        # leading batch axis, once per VJP
+        vjps = [name for name in ("stage_grad_phi_vp", "dynamics_jac_phi_vp", "dynamics_phi_vp")
+                if getattr(spec, name) is not None]
+        assert Counter(name for name, _, _ in log if name in vjps) == dict.fromkeys(vjps, 1)
+        adjoint = ((spec.m, H, spec.n), (spec.m, H, spec.m))
+        for name, x, u in log:
+            assert (x, u) == (adjoint if name in vjps else batch), name
+        n_policy = len(log)
         grad_q_wrt_params(logged, phi, kkt)
-        assert all((x, u) == batch for _, x, u in log)
+        assert all((x, u) == batch for _, x, u in log[n_policy:])
         traffic.append(Counter(name for name, _, _ in log))
     assert traffic[0] == traffic[1]
+
+
+def test_value_gradient_calls_only_cost_and_dynamics_phi_gradients(lq2_ocp):
+    # the envelope gradient is dL/dphi at the KKT point: it needs neither the
+    # Jacobian products of the policy Jacobian nor a dynamics evaluation
+    spec, phi = lq2_ocp
+    assert spec.H == 5
+    _, kkt = mpc_qvalue(spec, phi, np.array([0.9, -0.4]), np.array([0.3]))
+    logged, log = _logged(spec)
+    grad_q_wrt_params(logged, phi, kkt)
+    assert Counter(name for name, _, _ in log) == {"stage_phi": 1, "dynamics_phi_vp": 1}
+
+
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_policy_jacobian_is_one_adjoint_solve(case, lq2, cstr_cfg, monkeypatch):
+    # the KKT matrix is solved once, for the m unit right-hand sides of the
+    # u_0 rows, never for one column per parameter
+    if case == "lq":
+        A, B, Qc, Rc, gamma, P, K = lq2
+        spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=5, gamma=gamma, u_lo=-1.0, u_hi=1.0)
+        # the unconstrained action -K s = -3 saturates the input bound
+        s, settings = 3.0 * K[0] / (K[0] @ K[0]), None
+    else:
+        spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
+        s, settings = np.array([0.8, 0.4, 130.0, 130.0]), SolverSettings(kkt_tol=1e-6)
+    _, kkt = mpc_policy(spec, phi, s, settings=settings)
+    if case == "lq":
+        assert kkt.active_set.size
+    rhs_shapes = []
+    solve = np.linalg.solve
+
+    def logged_solve(a, b):
+        rhs_shapes.append(np.shape(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", logged_solve)
+    jac = jac_policy_wrt_params(spec, phi, kkt).jac_action
+    assert jac.shape == (spec.m, phi.size) and spec.m < phi.size
+    assert len(rhs_shapes) == 1 and rhs_shapes[0][1:] == (spec.m,)
 
 
 @pytest.mark.parametrize("case", ["lq", "cstr"])
