@@ -77,10 +77,6 @@ class Trajectory:
         out = [self.steps[0].s] + [tr.s_next for tr in self.steps]
         return np.stack(out)
 
-    @property
-    def actions(self) -> np.ndarray:
-        return np.stack([tr.a for tr in self.steps])
-
 
 def check_gamma(gamma: float) -> float:
     """Validate a discount factor, which must lie strictly inside (0, 1)."""

@@ -402,13 +402,18 @@ def _fd_jac(fun, x, step_scale=1e-6):
 
 
 def _rel_dev(analytic, numeric) -> float:
+    """max|analytic - numeric| / max(1, max|numeric|); inf when the shapes
+    differ or either side holds a non-finite entry, so no tolerance passes a
+    NaN."""
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)
-    denom = max(1.0, float(np.max(np.abs(numeric))) if numeric.size else 0.0)
-    if analytic.shape != numeric.shape:
+    if analytic.shape != numeric.shape or not (
+        np.all(np.isfinite(analytic)) and np.all(np.isfinite(numeric))
+    ):
         return np.inf
-    diff = float(np.max(np.abs(analytic - numeric))) if numeric.size else 0.0
-    return diff / denom
+    if not numeric.size:
+        return 0.0
+    return float(np.max(np.abs(analytic - numeric))) / max(1.0, float(np.max(np.abs(numeric))))
 
 
 def _parts(result) -> tuple:

@@ -1,4 +1,4 @@
-"""Dense convex QP solver with a primal active-set method.
+"""Dense strictly convex QP solver with a primal active-set method.
 
 Solves
     min_x  1/2 x'Hx + g'x   s.t.  Aineq x <= bineq
@@ -6,15 +6,19 @@ with the sign convention that stationarity reads
     Hx + g + Aineq' mu = 0,   mu >= 0.
 
 The QP has inequality rows only: the SQP eliminates its equality rows (the
-dynamics and pin rows) by condensing before it calls here.
+dynamics and pin rows) by condensing before it calls here.  H must be
+positive definite (the SQP certifies it by the same Cholesky test), so every
+working set of independent rows has a nonsingular KKT matrix.
 
 The working set is iterated in the classic primal fashion: take the step that
 solves the current equality-constrained subproblem, cut it at the first
 blocking inequality (which joins the working set), and drop the constraint
-with the most negative multiplier when the step is zero.  If a working set
-ever repeats, constraint selection switches to the lowest-index rule, which
-cannot cycle.  Exact active sets (not just solutions) are part of the
-contract, since parameter sensitivities are computed from them downstream.
+with the most negative multiplier when the step is zero.  A row dependent on
+the working set never blocks, and a singular warm start is started cold.  If
+a working set ever repeats, constraint selection switches to the
+lowest-index rule, which cannot cycle.  Exact active sets (not just
+solutions) are part of the contract, since parameter sensitivities are
+computed from them downstream.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class QPSolution:
     """Primal-dual QP solution with the final working set.
 
     status is one of converged / infeasible / diverged / max_iter; primal and
-    duals are meaningful only when status == "converged".  diverged means the
-    objective is unbounded below on the feasible set.
+    duals are meaningful only when status == "converged".  diverged means H
+    is not positive definite.
     """
 
     primal: np.ndarray
@@ -47,34 +51,26 @@ class QPSolution:
 
 
 def _solve_kkt(H, A, g, b):
-    """Solve [H A'; A 0][x; y] = [-g; b]; returns (x, y, residual)."""
+    """Solve [H A'; A 0][x; y] = [-g; b] for g (nz,) or k columns (nz, k), b
+    broadcast; returns (x, y, residual relative to 1 + max|rhs|).  A singular
+    matrix gives the least-squares solution and residual inf."""
     nz = H.shape[0]
     nc = A.shape[0]
     K = np.zeros((nz + nc, nz + nc))
     K[:nz, :nz] = H
-    if nc:
-        K[:nz, nz:] = A.T
-        K[nz:, :nz] = A
-    rhs = np.concatenate([-g, b])
+    K[:nz, nz:] = A.T
+    K[nz:, :nz] = A
+    rhs = np.concatenate([-g, np.broadcast_to(b, (nc,) + np.shape(g)[1:])])
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    resid = float(np.max(np.abs(K @ sol - rhs))) if rhs.size else 0.0
-    scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0
-    return sol[:nz], sol[nz:], resid / scale
+        return sol[:nz], sol[nz:], np.inf
+    resid = float(np.max(np.abs(K @ sol - rhs)))
+    return sol[:nz], sol[nz:], resid / (1.0 + float(np.max(np.abs(rhs))))
 
 
-def _null_basis(A, nz):
-    """Orthonormal basis of {p: A p = 0}; identity-like when A is empty."""
-    if A.shape[0] == 0:
-        return np.eye(nz)
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-    return Vt[rank:].T
-
-
-def _phase1_point(Aineq, bineq, tol):
+def _phase1_point(Aineq, bineq):
     """Feasible point via an LP with one violation slack; None when infeasible."""
     nz = Aineq.shape[1]
     # variables (x, t): min t  s.t.  Aineq x - t <= bineq,  t >= 0
@@ -90,7 +86,7 @@ def _phase1_point(Aineq, bineq, tol):
     )
     if not res.success or res.x is None:
         return None
-    if res.x[-1] > 1e3 * tol:
+    if res.x[-1] > 1e3 * FEAS_TOL:
         return None
     return res.x[:nz]
 
@@ -101,15 +97,12 @@ def qp_solve(
     Aineq: np.ndarray | None = None,
     bineq: np.ndarray | None = None,
     active0: np.ndarray | None = None,
-    tol: float = FEAS_TOL,
     max_pivots: int = 200,
 ) -> QPSolution:
-    """Solve a dense convex QP; see the module docstring for conventions.
+    """Solve a dense strictly convex QP; see the module docstring.
 
     Args:
         active0: optional warm-start guess for the inequality active set.
-        tol: feasibility / dual-sign tolerance (KKT conditions hold within
-            a small multiple of it on success).
         max_pivots: working-set change cap; exceeded -> status "max_iter".
     """
     H = 0.5 * (np.asarray(Hm, dtype=float) + np.asarray(Hm, dtype=float).T)
@@ -134,12 +127,10 @@ def qp_solve(
 
     # Degenerate all-zero rows carry no direction; they are either trivially
     # satisfiable or certify infeasibility outright.
-    live_in = np.array(
-        [i for i in range(n_in) if np.linalg.norm(Ain[i]) >= ZERO_ROW_TOL], dtype=int
-    )
-    for i in range(n_in):
-        if i not in live_in and bin_[i] < -tol:
-            return fail("infeasible")
+    live = np.linalg.norm(Ain, axis=1) >= ZERO_ROW_TOL
+    if np.any(bin_[~live] < -FEAS_TOL):
+        return fail("infeasible")
+    live_in = np.flatnonzero(live)
 
     if nz == 0:
         # nothing to choose (a fully pinned horizon): the zero rows above
@@ -149,12 +140,10 @@ def qp_solve(
     A_live = Ain[live_in]
     b_live = bin_[live_in]
 
-    # The method assumes H is PSD (callers regularize first).  An indefinite
-    # H means the objective is unbounded along some ray unless inequalities
-    # happen to block it; that case is outside the contract and reported as
-    # diverged.
-    eigs = np.linalg.eigvalsh(H)
-    if eigs[0] < -1e-9 * max(1.0, abs(eigs[-1])):
+    # solver._regularize certifies this same symmetrized matrix before calling
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
         return fail("diverged")
 
     # Starting point, in order of preference: the subproblem optimum on the
@@ -163,35 +152,28 @@ def qp_solve(
     x = None
     work: list[int] = []
     if active0 is not None:
-        warm = []
-        for i in np.asarray(active0, dtype=int):
-            pos = np.flatnonzero(live_in == i)
-            if pos.size:
-                warm.append(int(pos[0]))
+        warm = [int(np.searchsorted(live_in, i)) for i in np.asarray(active0, dtype=int)
+                if i in live_in]
         if warm:
             x_w, _, resid_w = _solve_kkt(H, A_live[warm], g, b_live[warm])
             if (
-                resid_w <= 1e3 * tol
+                resid_w <= 1e3 * FEAS_TOL
                 and np.all(np.isfinite(x_w))
-                and np.max(A_live @ x_w - b_live) <= tol
+                and np.max(A_live @ x_w - b_live) <= FEAS_TOL
             ):
                 x = x_w
                 work = warm
     if x is None:
         x_free, _, resid = _solve_kkt(H, np.zeros((0, nz)), g, np.zeros(0))
         if (
-            resid <= 1e3 * tol
+            resid <= 1e3 * FEAS_TOL
             and np.all(np.isfinite(x_free))
-            and (A_live.size == 0 or np.max(A_live @ x_free - b_live) <= tol)
+            and (A_live.size == 0 or np.max(A_live @ x_free - b_live) <= FEAS_TOL)
         ):
             x = x_free
     if x is None:
-        if A_live.size:
-            x = _phase1_point(A_live, b_live, tol)
-        else:
-            # No constraints at all: every point is feasible; start at the
-            # origin and let the pivot loop certify unboundedness if any.
-            x = np.zeros(nz)
+        # without rows the free solve itself failed, and so will the first pivot
+        x = _phase1_point(A_live, b_live) if A_live.size else np.zeros(nz)
         if x is None:
             return fail("infeasible")
 
@@ -206,41 +188,11 @@ def qp_solve(
 
         A_act = A_live[work]
         g_eff = g + H @ x
-        p, mu_work, resid = _solve_kkt(H, A_act, g_eff, np.zeros(len(work)))
-
-        if resid > 1e3 * tol or not np.all(np.isfinite(p)):
-            # Singular subproblem: look for unblocked descent along the
-            # constraint null space (unbounded objective), else acquire the
-            # first blocking constraint and continue.
-            Z = _null_basis(A_act, nz)
-            if Z.shape[1] == 0:
-                return fail("diverged", it)
-            M = Z.T @ H @ Z
-            evals, evecs = np.linalg.eigh(M)
-            gz = Z.T @ g_eff
-            if evals[0] < -tol:
-                d = Z @ evecs[:, 0]
-            else:
-                # PSD but singular: a null direction with nonzero slope.
-                null_mask = np.abs(evals) <= max(tol, 1e-12 * abs(evals[-1]))
-                dir_z = evecs[:, null_mask] @ (evecs[:, null_mask].T @ gz)
-                if np.linalg.norm(dir_z) <= tol:
-                    return fail("diverged", it)
-                d = Z @ dir_z
-            if g_eff @ d > 0:
-                d = -d
-            d /= max(np.linalg.norm(d), 1e-30)
-            cand = [
-                (float((b_live[i] - A_live[i] @ x) / (A_live[i] @ d)), i)
-                for i in range(len(live_in))
-                if i not in work and A_live[i] @ d > tol
-            ]
-            if not cand:
-                return fail("diverged", it)
-            alpha, j = min(cand, key=lambda c: (c[0], c[1]))
-            x = x + max(alpha, 0.0) * d
-            work.append(j)
-            continue
+        p, mu_work, resid = _solve_kkt(H, A_act, g_eff, 0.0)
+        if resid > 1e3 * FEAS_TOL or not np.all(np.isfinite(p)):
+            # with H positive definite only dependent working rows can do
+            # this, and neither the warm start nor the pivots admit one
+            return fail("diverged", it)
 
         # A step counts as zero when it is small relative to the iterate, or
         # when its predicted objective decrease drowns in the float rounding of
@@ -249,10 +201,9 @@ def qp_solve(
         # step tolerance, and only the decrease test tells noise from progress.
         decrease = -(g_eff @ p + 0.5 * p @ H @ p)
         q_now = 0.5 * x @ H @ x + g @ x
-        if np.max(np.abs(p)) <= tol * (1.0 + np.max(np.abs(x))) or decrease <= 100.0 * np.finfo(
-            float
-        ).eps * (1.0 + abs(q_now)):
-            if mu_work.size == 0 or np.min(mu_work) >= -tol:
+        noise = 100.0 * np.finfo(float).eps * (1.0 + abs(q_now))
+        if np.max(np.abs(p)) <= FEAS_TOL * (1.0 + np.max(np.abs(x))) or decrease <= noise:
+            if mu_work.size == 0 or np.min(mu_work) >= -FEAS_TOL:
                 mu = np.zeros(n_in)
                 for w, val in zip(work, mu_work):
                     mu[live_in[w]] = max(float(val), 0.0)
@@ -264,7 +215,7 @@ def qp_solve(
                     status="converged",
                     iterations=it,
                 )
-            neg = [w for w, val in zip(work, mu_work) if val < -tol]
+            neg = [w for w, val in zip(work, mu_work) if val < -FEAS_TOL]
             if bland:
                 drop = min(neg, key=lambda w: live_in[w])
             else:
@@ -276,7 +227,7 @@ def qp_solve(
         cand = [
             (float((b_live[i] - A_live[i] @ x) / (A_live[i] @ p)), i)
             for i in range(len(live_in))
-            if i not in work and A_live[i] @ p > tol
+            if i not in work and A_live[i] @ p > FEAS_TOL
         ]
         alpha = 1.0
         blocker = None

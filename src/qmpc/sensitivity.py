@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import QmpcError
 from .ocp import OCPSpec, ParameterVector, _rel_dev
+from .qp import _solve_kkt
 from .solver import (
     KKTPoint,
     SolverSettings,
@@ -144,10 +145,11 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     and du_0/dphi = E' [dz; ...] for the selector E of the u_0 rows.  K is
     symmetric, so one solve K Y = E, for the m columns of E at once, turns
     the Jacobian into -d/dphi (grad_z L . dz + c . dlam) along the m
-    directions (dz, dlam) that Y holds.  A singular system or a failed
-    regularity check yields regularity="degenerate".  The dynamics rows are
-    full rank by construction, so LICQ reduces to full row rank of the
-    active inequality rows on their null space.
+    directions (dz, dlam) that Y holds.  The solve is the QP's saddle-point
+    solve, qp._solve_kkt.  A singular system or a failed regularity check
+    yields regularity="degenerate".  The dynamics rows are full rank by
+    construction, so LICQ reduces to full row rank of the active inequality
+    rows on their null space.
     """
     _check_converged(kkt)
     if kkt.pinned_a is not None:
@@ -160,23 +162,15 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     if C_A.size and np.linalg.matrix_rank(C_A @ _condense(st, C, c)[0]) < C_A.shape[0]:
         regularity = "degenerate"
 
-    nz, n_lam = st.nz, st.n_eq_rows
-    dim = nz + n_lam + C_A.shape[0]
-    G = np.vstack([C, C_A])
-    K = np.zeros((dim, dim))
-    K[:nz, :nz] = _lagrangian_hessian(st, phi, z, s, lam)
-    K[:nz, nz:] = G.T
-    K[nz:, :nz] = G
-    E = np.zeros((dim, spec.m))
-    E[st.u_idx[0], np.arange(spec.m)] = 1.0
-    try:
-        Y = np.linalg.solve(K, E)
-    except np.linalg.LinAlgError:
-        Y, regularity = np.linalg.lstsq(K, E, rcond=None)[0], "degenerate"
-    if np.max(np.abs(K @ Y - E)) > 2e-6:  # 1e-6 relative to 1 + max|E|
+    E_z = np.zeros((st.nz, spec.m))
+    E_z[st.u_idx[0], np.arange(spec.m)] = 1.0
+    dz, dmult, resid = _solve_kkt(
+        _lagrangian_hessian(st, phi, z, s, lam), np.vstack([C, C_A]), -E_z, 0.0
+    )
+    if resid > 1e-6:  # a singular K gives inf
         regularity = "degenerate"
 
-    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, (Y[:nz].T, Y[nz : nz + n_lam].T))
+    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, (dz.T, dmult[: st.n_eq_rows].T))
     return SensitivityResult(
         grad_value=None,
         jac_action=jac,

@@ -226,12 +226,17 @@ def _eq_multipliers(st: _Stacker, C, r):
 
 def _regularize(HL, Z):
     """Smallest sigma (doubling from SIGMA0) making Z'(HL+sigma I)Z positive
-    definite; returns HL + sigma I, that reduced Hessian and sigma."""
+    definite; returns HL + sigma I, that reduced Hessian and sigma.
+
+    The reduced Hessian is symmetrized before it is factored, so qp_solve's
+    own symmetrization leaves it bit for bit unchanged and its Cholesky
+    test repeats this one."""
     M = Z.T @ HL @ Z
     ZtZ = Z.T @ Z
     sigma = 0.0
     while sigma < 1e10:
         Ms = M + sigma * ZtZ
+        Ms = 0.5 * (Ms + Ms.T)
         try:
             np.linalg.cholesky(Ms)
             return HL + sigma * np.eye(HL.shape[0]), Ms, sigma

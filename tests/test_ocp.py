@@ -245,6 +245,21 @@ def test_validate_flags_none_phi_derivative_of_phi_dependent_term(lq2_ocp, field
     assert all(f.startswith(field) and "(None)" in f for f in findings)
 
 
+@pytest.mark.parametrize("name", ["stage_grad", "dynamics_phi_vp"])
+def test_validate_flags_nan_derivative(lq2_ocp, name):
+    # a NaN compares false against every tolerance, so it must count as an
+    # infinite deviation rather than pass as agreement
+    spec, phi = lq2_ocp
+    orig = getattr(spec, name)
+
+    def poisoned(*args):
+        out = orig(*args)
+        return tuple(np.nan * v for v in out) if isinstance(out, tuple) else np.nan * out
+
+    findings = validate_spec(dataclasses.replace(spec, **{name: poisoned}), phi)
+    assert any(f.startswith((f"{name}:", f"{name}[")) for f in findings), findings
+
+
 def _one_stage_lq(phi):
     """The stage callbacks of build_lq_ocp(A2, B2, Q2, R2, ., u_lo=-1, u_hi=1),
     written for one stage x (n,), u (m,) only."""

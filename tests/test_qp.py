@@ -57,18 +57,10 @@ def test_infeasible_inequalities():
     assert sol.status == "infeasible"
 
 
-def test_unbounded_below():
+def test_semidefinite_hessian_is_rejected():
     H = np.diag([1.0, 0.0])  # flat direction with linear drift
     sol = qp_solve(H, np.array([0.0, -1.0]))
     assert sol.status == "diverged"
-
-
-def test_unbounded_direction_blocked_by_constraint():
-    # same flat direction, but an inequality caps it: solvable again
-    H = np.diag([1.0, 0.0])
-    sol = qp_solve(H, np.array([0.0, -1.0]), np.array([[0.0, 1.0]]), np.array([3.0]))
-    assert sol.status == "converged"
-    assert sol.primal[1] == pytest.approx(3.0, abs=1e-8)
 
 
 def test_pivot_cap_reports_max_iter():
@@ -116,6 +108,21 @@ def test_warm_start_reuses_active_set():
     assert warm.status == "converged"
     assert np.allclose(warm.primal, cold.primal, atol=1e-10)
     assert warm.iterations <= cold.iterations
+
+
+def test_dependent_warm_start_falls_back_to_cold_start():
+    # rows 0 and 1 coincide, so the warm-start working set [0, 1] has a
+    # singular KKT matrix: the solve starts cold and keeps row 0 alone
+    H = np.eye(2)
+    g = np.array([-3.0, -3.0])
+    Aineq = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    bineq = np.array([1.0, 1.0, 5.0])
+    sol = qp_solve(H, g, Aineq, bineq, active0=np.array([0, 1]))
+    cold = qp_solve(H, g, Aineq, bineq)
+    assert sol.status == cold.status == "converged"
+    assert sol.active_set.tolist() == cold.active_set.tolist() == [0]
+    assert sol.dual_ineq.tolist() == cold.dual_ineq.tolist() == [2.0, 0.0, 0.0]
+    assert np.array_equal(sol.primal, cold.primal)
 
 
 def test_certificate_on_mixed_constraints():

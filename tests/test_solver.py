@@ -203,6 +203,19 @@ def test_qp_pivot_cap_is_told_apart_from_the_sqp_cap():
         mpc_policy(spec, phi, np.array([4.0]), settings=no_pivots)
 
 
+def test_regularized_hessian_is_the_matrix_the_qp_factors():
+    # Z'HL Z rounds asymmetrically; the QP symmetrizes its Hessian before its
+    # Cholesky test, so the regularization must certify that same matrix
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(7, 7))
+    HL = M + M.T  # indefinite: needs sigma > 0
+    Z = rng.normal(size=(7, 4))
+    assert not np.array_equal(Z.T @ HL @ Z, (Z.T @ HL @ Z).T)
+    _, Hz, sigma = solver._regularize(HL, Z)
+    assert sigma > 0.0
+    assert np.array_equal(0.5 * (Hz + Hz.T), Hz)
+
+
 def test_line_search_stall_has_its_own_status(lq2_ocp):
     spec, phi = lq2_ocp
     s = np.array([0.6, -0.4])
