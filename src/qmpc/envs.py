@@ -5,7 +5,14 @@ The reactor follows the standard four-state benchmark model with states
 (c_A, c_B, T_R, T_K) — concentrations of species A and B, reactor and coolant
 temperatures — and inputs (F, Q_dot) — normalized feed flow and cooling power.
 All physical constants come from the experiment config; none live in code.
-Integration is fixed-step RK4 for bitwise reproducibility.
+Integration is fixed-step RK4 for bitwise reproducibility.  The RK4 kernel
+works on columns, a state's or input's trailing-axis entries: np.float64
+scalars for one state, equal-shape arrays for a batch, so one state costs
+scalar arithmetic and a batch one ufunc call per operation.  Every column sees
+the same operations in the same order, so a batch row equals its one-state
+call bit for bit; that is why each square is written as a product (on a
+scalar, ``** 2`` calls libm pow, which now and then rounds differently from
+the product an array's ``** 2`` computes).
 """
 
 from __future__ import annotations
@@ -131,56 +138,57 @@ class CSTRConfig:
             raise ValueError("reward weights must be nonnegative")
 
 
-def cstr_rhs(params: dict, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Reactor ODE right-hand side; broadcasts over leading batch axes."""
-    p = params
-    c_A, c_B, T_R, T_K = (s[..., i] for i in range(4))
-    F, Qd = a[..., 0], a[..., 1]
+def _columns(v) -> tuple:
+    """v's trailing-axis entries: np.float64 scalars for one point, views for a batch."""
+    return tuple(np.moveaxis(np.asarray(v, dtype=float), -1, 0))
+
+
+def _rhs(p: dict, x: tuple, F, Qd):
+    """Reactor ODE at state columns x = (c_A, c_B, T_R, T_K) under inputs F, Qd:
+    the four derivative columns and the rates (theta, k1, k2, k3) there."""
+    c_A, c_B, T_R, T_K = x
     theta = T_R + 273.15
     k1 = p["K0_ab"] * np.exp(-p["E_A_ab"] / theta)
     k2 = p["K0_bc"] * np.exp(-p["E_A_bc"] / theta)
     k3 = p["K0_ad"] * np.exp(-p["E_A_ad"] / theta)
     rcp = p["rho"] * p["Cp"]
-    d_cA = F * (p["C_A0"] - c_A) - k1 * c_A - k3 * c_A**2
-    d_cB = -F * c_B + k1 * c_A - k2 * c_B
+    kwa = p["K_w"] * p["A_R"]
+    k1cA, k2cB, k3cA2 = k1 * c_A, k2 * c_B, k3 * (c_A * c_A)
+    d_cA = F * (p["C_A0"] - c_A) - k1cA - k3cA2
+    d_cB = -F * c_B + k1cA - k2cB
     d_TR = (
-        (k1 * c_A * p["H_R_ab"] + k2 * c_B * p["H_R_bc"] + k3 * c_A**2 * p["H_R_ad"]) / (-rcp)
+        (k1cA * p["H_R_ab"] + k2cB * p["H_R_bc"] + k3cA2 * p["H_R_ad"]) / (-rcp)
         + F * (p["T_in"] - T_R)
-        + p["K_w"] * p["A_R"] * (T_K - T_R) / (rcp * p["V_R"])
+        + kwa * (T_K - T_R) / (rcp * p["V_R"])
     )
-    d_TK = (Qd + p["K_w"] * p["A_R"] * (T_R - T_K)) / (p["m_k"] * p["Cp_k"])
-    return np.stack([d_cA, d_cB, d_TR, d_TK], axis=-1)
+    d_TK = (Qd + kwa * (T_R - T_K)) / (p["m_k"] * p["Cp_k"])
+    return (d_cA, d_cB, d_TR, d_TK), (theta, k1, k2, k3)
 
 
-def cstr_rhs_jac(params: dict, s: np.ndarray, a: np.ndarray):
-    """Jacobians (d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2));
-    broadcasts over leading batch axes like :func:`cstr_rhs`."""
-    p = params
-    c_A, c_B, T_R = s[..., 0], s[..., 1], s[..., 2]
-    F = a[..., 0]
-    theta = T_R + 273.15
-    k1 = p["K0_ab"] * np.exp(-p["E_A_ab"] / theta)
-    k2 = p["K0_bc"] * np.exp(-p["E_A_bc"] / theta)
-    k3 = p["K0_ad"] * np.exp(-p["E_A_ad"] / theta)
-    dk1 = k1 * p["E_A_ab"] / theta**2
-    dk2 = k2 * p["E_A_bc"] / theta**2
-    dk3 = k3 * p["E_A_ad"] / theta**2
+def _rhs_jac(p: dict, x: tuple, F, rates):
+    """(d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)) at state columns
+    x under flow F, from the rates :func:`_rhs` returned at the same point."""
+    c_A, c_B, T_R, _ = x
+    theta, k1, k2, k3 = rates
+    theta2 = theta * theta
+    dk1cA = k1 * p["E_A_ab"] / theta2 * c_A
+    dk2cB = k2 * p["E_A_bc"] / theta2 * c_B
+    dk3cA2 = k3 * p["E_A_ad"] / theta2 * (c_A * c_A)
+    two_k3cA = 2.0 * k3 * c_A
     rcp = p["rho"] * p["Cp"]
     kwr = p["K_w"] * p["A_R"] / (rcp * p["V_R"])
     kwk = p["K_w"] * p["A_R"] / (p["m_k"] * p["Cp_k"])
-    batch = np.broadcast_shapes(s.shape[:-1], a.shape[:-1])
+    batch = np.broadcast_shapes(*map(np.shape, x), np.shape(F))
     Jx = np.zeros(batch + (4, 4))
-    Jx[..., 0, 0] = -F - k1 - 2.0 * k3 * c_A
-    Jx[..., 0, 2] = -(dk1 * c_A + dk3 * c_A**2)
+    Jx[..., 0, 0] = -F - k1 - two_k3cA
+    Jx[..., 0, 2] = -(dk1cA + dk3cA2)
     Jx[..., 1, 0] = k1
     Jx[..., 1, 1] = -F - k2
-    Jx[..., 1, 2] = dk1 * c_A - dk2 * c_B
-    Jx[..., 2, 0] = (k1 * p["H_R_ab"] + 2.0 * k3 * c_A * p["H_R_ad"]) / (-rcp)
+    Jx[..., 1, 2] = dk1cA - dk2cB
+    Jx[..., 2, 0] = (k1 * p["H_R_ab"] + two_k3cA * p["H_R_ad"]) / (-rcp)
     Jx[..., 2, 1] = k2 * p["H_R_bc"] / (-rcp)
     Jx[..., 2, 2] = (
-        (dk1 * c_A * p["H_R_ab"] + dk2 * c_B * p["H_R_bc"] + dk3 * c_A**2 * p["H_R_ad"]) / (-rcp)
-        - F
-        - kwr
+        (dk1cA * p["H_R_ab"] + dk2cB * p["H_R_bc"] + dk3cA2 * p["H_R_ad"]) / (-rcp) - F - kwr
     )
     Jx[..., 2, 3] = kwr
     Jx[..., 3, 2] = kwk
@@ -193,21 +201,41 @@ def cstr_rhs_jac(params: dict, s: np.ndarray, a: np.ndarray):
     return Jx, Ju
 
 
-def rk4_step(params: dict, s: np.ndarray, a: np.ndarray, h: float) -> np.ndarray:
-    k1 = cstr_rhs(params, s, a)
-    k2 = cstr_rhs(params, s + 0.5 * h * k1, a)
-    k3 = cstr_rhs(params, s + 0.5 * h * k2, a)
-    k4 = cstr_rhs(params, s + h * k3, a)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def cstr_rhs(params: dict, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Reactor ODE right-hand side; broadcasts over leading batch axes."""
+    d, _ = _rhs(params, _columns(s), *_columns(a))
+    return np.stack(d, axis=-1)
+
+
+def cstr_rhs_jac(params: dict, s: np.ndarray, a: np.ndarray):
+    """Jacobians (d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)); batched."""
+    x, (F, Qd) = _columns(s), _columns(a)
+    return _rhs_jac(params, x, F, _rhs(params, x, F, Qd)[1])
+
+
+def _rk4_substep(p: dict, x: tuple, F, Qd, h: float):
+    """One RK4 substep over state columns: the next columns, and the four
+    stage points, each with the rates :func:`_rhs` found there."""
+    k1, r1 = _rhs(p, x, F, Qd)
+    x2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
+    k2, r2 = _rhs(p, x2, F, Qd)
+    x3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
+    k3, r3 = _rhs(p, x3, F, Qd)
+    x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
+    k4, r4 = _rhs(p, x4, F, Qd)
+    x_next = tuple(
+        xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    )
+    return x_next, ((x, r1), (x2, r2), (x3, r3), (x4, r4))
 
 
 def cstr_discrete(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """State after one control interval dt (substep-subdivided RK4); batched."""
     h = cfg.dt / cfg.substeps
-    x = np.asarray(s, dtype=float)
+    x, (F, Qd) = _columns(s), _columns(a)
     for _ in range(cfg.substeps):
-        x = rk4_step(cfg.ode_params, x, np.asarray(a, dtype=float), h)
-    return x
+        x, _ = _rk4_substep(cfg.ode_params, x, F, Qd, h)
+    return np.stack(x, axis=-1)
 
 
 def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
@@ -219,22 +247,12 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
     """
     h = cfg.dt / cfg.substeps
     p = cfg.ode_params
-    x = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
+    x, (F, Qd) = _columns(s), _columns(a)
     eye = np.eye(4)
     Jx_tot, Ju_tot = eye, np.zeros((4, 2))  # the batch axes arrive via Sx
     for _ in range(cfg.substeps):
-        k1 = cstr_rhs(p, x, a)
-        x2 = x + 0.5 * h * k1
-        k2 = cstr_rhs(p, x2, a)
-        x3 = x + 0.5 * h * k2
-        k3 = cstr_rhs(p, x3, a)
-        x4 = x + h * k3
-        k4 = cstr_rhs(p, x4, a)
-        A1, B1 = cstr_rhs_jac(p, x, a)
-        A2, B2 = cstr_rhs_jac(p, x2, a)
-        A3, B3 = cstr_rhs_jac(p, x3, a)
-        A4, B4 = cstr_rhs_jac(p, x4, a)
+        x, stages = _rk4_substep(p, x, F, Qd, h)
+        (A1, B1), (A2, B2), (A3, B3), (A4, B4) = (_rhs_jac(p, xs, F, r) for xs, r in stages)
         # stagewise chain rule for dk_i/dx and dk_i/du
         D1x, D1u = A1, B1
         D2x = A2 @ (eye + 0.5 * h * D1x)
@@ -247,8 +265,7 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
         Su = (h / 6.0) * (D1u + 2 * D2u + 2 * D3u + D4u)
         Ju_tot = Sx @ Ju_tot + Su
         Jx_tot = Sx @ Jx_tot
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x, Jx_tot, Ju_tot
+    return np.stack(x, axis=-1), Jx_tot, Ju_tot
 
 
 def cstr_step(

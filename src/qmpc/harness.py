@@ -333,7 +333,7 @@ def greedy_value_action(
 
     The tracking term of the reward does not depend on the action, so only the
     move penalty and the successor value discriminate."""
-    nxt = cstr_discrete(cfg, np.broadcast_to(s, (grid.shape[0], 4)), grid)
+    nxt = cstr_discrete(cfg, s, grid)
     vals = vmodel.value(nxt)
     move = np.sum(cfg.w_move * (grid - a_prev) ** 2, axis=1)
     scores = -move + gamma * vals

@@ -15,7 +15,7 @@ objective is a cost: smaller is better.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -401,15 +401,17 @@ def _fd_jac(fun, x, step_scale=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def _finite(v) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(v, dtype=float))))
+
+
 def _rel_dev(analytic, numeric) -> float:
     """max|analytic - numeric| / max(1, max|numeric|); inf when the shapes
     differ or either side holds a non-finite entry, so no tolerance passes a
     NaN."""
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)
-    if analytic.shape != numeric.shape or not (
-        np.all(np.isfinite(analytic)) and np.all(np.isfinite(numeric))
-    ):
+    if analytic.shape != numeric.shape or not (_finite(analytic) and _finite(numeric)):
         return np.inf
     if not numeric.size:
         return 0.0
@@ -441,17 +443,36 @@ def validate_spec(
     reads phi gets a finding; the inequalities must not move with phi at all.
     The state returned by ``dynamics_jac`` must equal ``dynamics``, and every
     stage callback, given all probe points as one batch, must return the
-    per-point results (relative tolerance 1e-12).
+    per-point results (relative tolerance 1e-12).  A callback that returns a
+    non-finite value gets the one finding "<name>: returns non-finite
+    values", and no comparison that meets such a value reports it again.
     Returns human-readable findings; empty means the spec passed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     findings: list[str] = []
     n, m = spec.n, spec.m
+    non_finite: list[str] = []  # callbacks that returned a NaN or inf, in order
+
+    def recorded(name, fn):
+        def call(*args):
+            out = fn(*args)
+            if name not in non_finite and not all(map(_finite, _parts(out))):
+                non_finite.append(name)
+            return out
+        return call
+
+    spec = replace(spec, **{f.name: recorded(f.name, getattr(spec, f.name))
+                            for f in fields(spec) if callable(getattr(spec, f.name))})
+
+    def dev_of(analytic, numeric):  # a named callback's NaN is not blamed again
+        if non_finite and not (_finite(analytic) and _finite(numeric)):
+            return 0.0
+        return _rel_dev(analytic, numeric)
 
     def check(name, analytic, numeric):
         if analytic is None:  # a None phi-derivative declares an exact zero
             analytic, name = np.zeros(np.shape(numeric)), f"{name} (None)"
-        dev = _rel_dev(analytic, numeric)
+        dev = dev_of(analytic, numeric)
         shape_a = np.shape(analytic)
         shape_n = np.shape(numeric)
         if shape_a != shape_n:
@@ -486,7 +507,7 @@ def validate_spec(
         check("terminal_hess", spec.terminal_hess(x, phi),
               _fd_jac(lambda v: spec.terminal_grad(v, phi), x))
         f, fx, fu = spec.dynamics_jac(x, u, phi)
-        if _rel_dev(f, spec.dynamics(x, u, phi)) > 1e-12:
+        if dev_of(f, spec.dynamics(x, u, phi)) > 1e-12:
             findings.append("dynamics_jac[F]: differs from dynamics")
         check("dynamics_jac[x]", fx, _fd_jac(lambda v: spec.dynamics(v, u, phi), x))
         check("dynamics_jac[u]", fu, _fd_jac(lambda v: spec.dynamics(x, v, phi), u))
@@ -543,7 +564,7 @@ def validate_spec(
             findings.append(f"{name}: batched call failed: {exc}")
             continue
         if len(batched) != len(single[0]) or any(
-            _rel_dev(got, np.stack(want)) > 1e-12 for got, want in zip(batched, zip(*single))
+            dev_of(got, np.stack(want)) > 1e-12 for got, want in zip(batched, zip(*single))
         ):
             findings.append(f"{name}: batched call differs from per-point calls")
-    return findings
+    return [f"{name}: returns non-finite values" for name in non_finite] + findings

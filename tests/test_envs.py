@@ -185,6 +185,51 @@ def test_batched_discrete_jac_matches_per_state():
         np.testing.assert_allclose(Ju[k], Juk, rtol=1e-12, atol=1e-12)
 
 
+def test_reactor_kernel_is_batch_invariant_bit_for_bit():
+    # One state runs the kernel on np.float64 scalars, a batch on arrays.  A
+    # square written as ** 2 calls libm pow on a scalar but squares an array,
+    # which round differently now and then; written as a product, every
+    # column sees the same operations in the same order.
+    cfg = make_cstr_config()
+    rng = np.random.default_rng(11)
+    span = cfg.state_hi - cfg.state_lo
+    X = rng.uniform(cfg.state_lo - 0.25 * span, cfg.state_hi + 0.25 * span, size=(400, 4))
+    U = rng.uniform(cfg.input_lo, cfg.input_hi, size=(400, 2))
+    np.testing.assert_array_equal(
+        cstr_discrete(cfg, X, U), np.array([cstr_discrete(cfg, x, u) for x, u in zip(X, U)])
+    )
+    F, Jx, Ju = cstr_discrete_jac(cfg, X, U)
+    for k in range(0, 400, 4):
+        for got, want in zip((F[k], Jx[k], Ju[k]), cstr_discrete_jac(cfg, X[k], U[k])):
+            np.testing.assert_array_equal(got, want)
+    # one state against the action grid, as greedy_value_action asks
+    points = np.linspace(cfg.input_lo, cfg.input_hi, 5)
+    grid = np.array([[f, q] for f in points[:, 0] for q in points[:, 1]])
+    for x in X[:40]:
+        np.testing.assert_array_equal(
+            cstr_discrete(cfg, x, grid), np.array([cstr_discrete(cfg, x, a) for a in grid])
+        )
+    # Random states rarely meet a square that pow rounds differently, and the
+    # rates damp a one-ulp change; so also probe the right-hand side at states
+    # whose c_A and theta = T_R + 273.15 square differently under pow
+    # (float_power calls the same pow per entry)
+    def pow_sensitive(v, shift=0.0):
+        return v[np.float_power(v + shift, 2) != (v + shift) * (v + shift)]
+
+    c_A = pow_sensitive(rng.uniform(cfg.state_lo[0], cfg.state_hi[0], 400_000))
+    T_R = pow_sensitive(rng.uniform(cfg.state_lo[2], cfg.state_hi[2], 400_000), 273.15)
+    k = min(len(c_A), len(T_R), 200)
+    X, U = np.column_stack([c_A[:k], X[:k, 1], T_R[:k], X[:k, 3]]), U[:k]
+    np.testing.assert_array_equal(
+        cstr_rhs(CSTR_ODE_PARAMS, X, U),
+        np.array([cstr_rhs(CSTR_ODE_PARAMS, x, u) for x, u in zip(X, U)]),
+    )
+    Jx, Ju = cstr_rhs_jac(CSTR_ODE_PARAMS, X, U)
+    for i in range(k):
+        for got, want in zip((Jx[i], Ju[i]), cstr_rhs_jac(CSTR_ODE_PARAMS, X[i], U[i])):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_batched_rhs_jac_matches_per_state():
     rng = np.random.default_rng(5)
     cfg = make_cstr_config()

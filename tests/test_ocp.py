@@ -245,19 +245,34 @@ def test_validate_flags_none_phi_derivative_of_phi_dependent_term(lq2_ocp, field
     assert all(f.startswith(field) and "(None)" in f for f in findings)
 
 
-@pytest.mark.parametrize("name", ["stage_grad", "dynamics_phi_vp"])
-def test_validate_flags_nan_derivative(lq2_ocp, name):
-    # a NaN compares false against every tolerance, so it must count as an
-    # infinite deviation rather than pass as agreement
-    spec, phi = lq2_ocp
+def _nan_poisoned(spec, name):
+    """spec with callback name returning NaN in every entry."""
     orig = getattr(spec, name)
 
     def poisoned(*args):
         out = orig(*args)
         return tuple(np.nan * v for v in out) if isinstance(out, tuple) else np.nan * out
 
-    findings = validate_spec(dataclasses.replace(spec, **{name: poisoned}), phi)
+    return dataclasses.replace(spec, **{name: poisoned})
+
+
+@pytest.mark.parametrize("name", ["stage_grad", "dynamics_phi_vp"])
+def test_validate_flags_nan_derivative(lq2_ocp, name):
+    # a NaN compares false against every tolerance, so it must count as an
+    # infinite deviation rather than pass as agreement
+    spec, phi = lq2_ocp
+    findings = validate_spec(_nan_poisoned(spec, name), phi)
     assert any(f.startswith((f"{name}:", f"{name}[")) for f in findings), findings
+
+
+@pytest.mark.parametrize("name", ["stage_grad", "dynamics_phi_vp"])
+def test_validate_names_non_finite_callback_once(lq2_ocp, name):
+    # neither the callbacks differenced from the NaN one (stage_hess and
+    # stage_grad_phi_vp under stage_grad) nor the batch check, whose batched
+    # and per-point NaNs agree, are blamed for it
+    spec, phi = lq2_ocp
+    findings = validate_spec(_nan_poisoned(spec, name), phi)
+    assert findings == [f"{name}: returns non-finite values"]
 
 
 def _one_stage_lq(phi):
