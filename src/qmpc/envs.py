@@ -167,7 +167,8 @@ def _rhs(p: dict, x: tuple, F, Qd):
 
 def _rhs_jac(p: dict, x: tuple, F, rates):
     """(d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)) at state columns
-    x under flow F, from the rates :func:`_rhs` returned at the same point."""
+    x under flow F, from the rates :func:`_rhs` returned at the same point.
+    The state columns share one shape, as :func:`_columns` gives them."""
     c_A, c_B, T_R, _ = x
     theta, k1, k2, k3 = rates
     theta2 = theta * theta
@@ -178,9 +179,9 @@ def _rhs_jac(p: dict, x: tuple, F, rates):
     rcp = p["rho"] * p["Cp"]
     kwr = p["K_w"] * p["A_R"] / (rcp * p["V_R"])
     kwk = p["K_w"] * p["A_R"] / (p["m_k"] * p["Cp_k"])
-    batch = np.broadcast_shapes(*map(np.shape, x), np.shape(F))
-    Jx = np.zeros(batch + (4, 4))
-    Jx[..., 0, 0] = -F - k1 - two_k3cA
+    j00 = -F - k1 - two_k3cA  # spans the batch: it reads F and the state columns
+    Jx = np.zeros(np.shape(j00) + (4, 4))
+    Jx[..., 0, 0] = j00
     Jx[..., 0, 2] = -(dk1cA + dk3cA2)
     Jx[..., 1, 0] = k1
     Jx[..., 1, 1] = -F - k2
@@ -193,24 +194,12 @@ def _rhs_jac(p: dict, x: tuple, F, rates):
     Jx[..., 2, 3] = kwr
     Jx[..., 3, 2] = kwk
     Jx[..., 3, 3] = -kwk
-    Ju = np.zeros(batch + (4, 2))
+    Ju = np.zeros(Jx.shape[:-1] + (2,))
     Ju[..., 0, 0] = p["C_A0"] - c_A
     Ju[..., 1, 0] = -c_B
     Ju[..., 2, 0] = p["T_in"] - T_R
     Ju[..., 3, 1] = 1.0 / (p["m_k"] * p["Cp_k"])
     return Jx, Ju
-
-
-def cstr_rhs(params: dict, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Reactor ODE right-hand side; broadcasts over leading batch axes."""
-    d, _ = _rhs(params, _columns(s), *_columns(a))
-    return np.stack(d, axis=-1)
-
-
-def cstr_rhs_jac(params: dict, s: np.ndarray, a: np.ndarray):
-    """Jacobians (d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)); batched."""
-    x, (F, Qd) = _columns(s), _columns(a)
-    return _rhs_jac(params, x, F, _rhs(params, x, F, Qd)[1])
 
 
 def _rk4_substep(p: dict, x: tuple, F, Qd, h: float):

@@ -134,20 +134,6 @@ def write_outputs(rows: list[MetricsRow], out_dir: str | Path, summary: dict) ->
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def read_metrics(path: str | Path) -> list[dict]:
-    """Parse a metrics.csv back into dicts of floats/ints/None."""
-    text = Path(path).read_text().strip().split("\n")
-    header = text[0].split(",")
-    rows = []
-    for line in text[1:]:
-        cells = line.split(",")
-        row = {}
-        for k, v in zip(header, cells):
-            row[k] = None if v == "" else float(v)
-        rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # LQ REINFORCE study
 

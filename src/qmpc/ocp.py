@@ -200,8 +200,11 @@ class OCPSpec:
 
 
 def _tile(batch: tuple, *blocks) -> tuple:
-    """The same blocks for every stage of a batch with leading axes ``batch``."""
-    return tuple(np.broadcast_to(b, batch + np.shape(b)) for b in blocks)
+    """The same blocks, each filled into a new array, for every stage of ``batch``."""
+    out = tuple(np.empty(batch + np.shape(b)) for b in blocks)
+    for t, b in zip(out, blocks):
+        t[...] = b
+    return out
 
 
 def _matvec(W: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -171,6 +171,9 @@ def qp_solve(
             and (A_live.size == 0 or np.max(A_live @ x_free - b_live) <= FEAS_TOL)
         ):
             x = x_free
+            if not live_in.size:
+                # no row can block or leave: the free optimum is the solution
+                return QPSolution(x, np.zeros(n_in), np.zeros(0, dtype=int), "converged", 0)
     if x is None:
         # without rows the free solve itself failed, and so will the first pivot
         x = _phase1_point(A_live, b_live) if A_live.size else np.zeros(nz)

@@ -11,7 +11,8 @@ spec's vector-Jacobian products, so no matrix p wide is ever built:
   Kolter, ICML 2017) and of differentiable MPC (Amos et al., NeurIPS 2018):
   one solve of the symmetric KKT matrix for the m unit right-hand sides of
   the u_0 rows gives, for each input, the primal-dual direction along which
-  dL/dphi is differentiated.
+  dL/dphi is differentiated.  The solve is condensed over the free inputs,
+  like the SQP step, from the stage Jacobian blocks the KKT point carries.
 
 Nonsmooth points (weakly active constraints, near-touching inactive ones, or
 rank-deficient constraint gradients) are tagged degenerate rather than
@@ -31,9 +32,10 @@ from .qp import _solve_kkt
 from .solver import (
     KKTPoint,
     SolverSettings,
-    _condense,
-    _eval_constraints,
+    _eq_multipliers,
+    _jacobians,
     _lagrangian_hessian,
+    _null_space,
     _Stacker,
     mpc_policy,
     mpc_qvalue,
@@ -145,38 +147,41 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     and du_0/dphi = E' [dz; ...] for the selector E of the u_0 rows.  K is
     symmetric, so one solve K Y = E, for the m columns of E at once, turns
     the Jacobian into -d/dphi (grad_z L . dz + c . dlam) along the m
-    directions (dz, dlam) that Y holds.  The solve is the QP's saddle-point
-    solve, qp._solve_kkt.  A singular system or a failed regularity check
-    yields regularity="degenerate".  The dynamics rows are full rank by
-    construction, so LICQ reduces to full row rank of the active inequality
-    rows on their null space.
+    directions (dz, dlam) that Y holds.  With dz = Z v over the null-space
+    basis Z of C_eq, and Z'E = E_v the unit columns of the free u_0, K Y = E
+    condenses to the QP's saddle-point solve (qp._solve_kkt)
+
+        [[Z'H_L Z, (C_A Z)'], [C_A Z, 0]] [v; dmu_A] = [E_v; 0],
+
+    and dlam follows from stationarity by a transposed triangular solve.  C_eq
+    and C_A come from the KKT point's stage blocks: no dynamics or constraint
+    callback runs.  A singular system or a failed regularity check yields
+    regularity="degenerate".  The dynamics rows are full rank by
+    construction, so LICQ reduces to full row rank of C_A Z.
     """
     _check_converged(kkt)
     if kkt.pinned_a is not None:
         raise QmpcError("policy Jacobian needs a free solve")
     st = _Stacker(spec, False)
     z, s, lam = kkt.z, kkt.s, kkt.lam
-    c, C, _, Hj = _eval_constraints(st, phi, z, s, None)
+    C, Hj = _jacobians(st, kkt.jac)
     C_A = Hj[np.asarray(kkt.active_set, dtype=int)]
+    Z = _null_space(st, C)
+    C_AZ = C_A @ Z
     regularity = _regularity(spec, phi, kkt)
-    if C_A.size and np.linalg.matrix_rank(C_A @ _condense(st, C, c)[0]) < C_A.shape[0]:
+    if C_A.size and np.linalg.matrix_rank(C_AZ) < C_A.shape[0]:
         regularity = "degenerate"
 
-    E_z = np.zeros((st.nz, spec.m))
-    E_z[st.u_idx[0], np.arange(spec.m)] = 1.0
-    dz, dmult, resid = _solve_kkt(
-        _lagrangian_hessian(st, phi, z, s, lam), np.vstack([C, C_A]), -E_z, 0.0
-    )
-    if resid > 1e-6:  # a singular K gives inf
+    HL = _lagrangian_hessian(st, phi, z, s, lam)
+    v, dmu, resid = _solve_kkt(Z.T @ HL @ Z, C_AZ, -np.eye(Z.shape[1], spec.m), 0.0)
+    if resid > 1e-6:  # a singular system gives inf
         regularity = "degenerate"
-
-    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, (dz.T, dmult[: st.n_eq_rows].T))
-    return SensitivityResult(
-        grad_value=None,
-        jac_action=jac,
-        regularity=regularity,
-        approximate=spec.dynamics_hess_vp is None,
-    )
+    dz = Z @ v
+    # E is zero on the state columns, where _eq_multipliers reads stationarity
+    dlam = _eq_multipliers(st, C, HL @ dz + C_A.T @ dmu)
+    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, (dz.T, dlam.T))
+    return SensitivityResult(grad_value=None, jac_action=jac, regularity=regularity,
+                             approximate=spec.dynamics_hess_vp is None)
 
 
 def finite_diff_check(

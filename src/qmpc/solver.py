@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DivergenceError, InfeasibleError, NonConvergenceError
 from .ocp import OCPSpec, ParameterVector
@@ -59,7 +59,10 @@ class KKTPoint:
 
     lam covers the dynamics rows, then the pin rows; mu covers the stacked
     stage inequalities (H blocks of n_ineq rows).  active_set indexes rows of
-    mu that are tight.
+    mu that are tight.  jac holds the stage Jacobian blocks (fx, fu, hx, hu)
+    that dynamics_jac and ineq_jac returned at z (hx, hu None without
+    inequality rows), so the policy Jacobian reuses the solver's last
+    linearization instead of evaluating it again.
     """
 
     z: np.ndarray
@@ -70,6 +73,7 @@ class KKTPoint:
     kkt_residual: float
     s: np.ndarray
     pinned_a: np.ndarray | None
+    jac: tuple
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,6 @@ class _Stacker:
 
     def __init__(self, spec: OCPSpec, pinned: bool):
         self.spec = spec
-        self.pinned = pinned
         H, n, m = spec.H, spec.n, spec.m
         self.nz = H * n + H * m
         self.n_dyn = H * n
@@ -102,7 +105,7 @@ class _Stacker:
     def states(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
         """x_0..x_H as rows of an (H+1, n) array."""
         spec = self.spec
-        return np.vstack([s, z[: self.n_dyn].reshape(spec.H, spec.n)])
+        return np.concatenate([s[None], z[: self.n_dyn].reshape(spec.H, spec.n)])
 
     def inputs(self, z: np.ndarray) -> np.ndarray:
         """u_0..u_{H-1} as rows of an (H, m) array."""
@@ -134,37 +137,41 @@ def _eval_objective(st: _Stacker, phi, z, s, with_grad=True):
 
 
 def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
-    """Values of all equality and inequality rows at z, and with ``with_jac``
-    their Jacobians (else None).  Each stage callback is called once, on all
-    H stages."""
+    """Values c, h of the equality and inequality rows at z and, with
+    ``with_jac``, the stage Jacobian blocks (fx, fu, hx, hu) (else None).
+    Each stage callback is called once, on all H stages."""
     spec = st.spec
     xs = st.states(z, s)
     us = st.inputs(z)
-    c = np.zeros(st.n_eq_rows)
-    C = Hj = None
     if with_jac:
         f, fx, fu = spec.dynamics_jac(xs[:-1], us, phi)
-        C = np.zeros((st.n_eq_rows, st.nz))
-        C[: st.n_dyn, : st.n_dyn] = np.eye(st.n_dyn)
-        C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
-        C[_blocks(st.x_idx, st.u_idx)] = -fu
     else:
         f = spec.dynamics(xs[:-1], us, phi)
+    c = np.zeros(st.n_eq_rows)
     c[: st.n_dyn] = (xs[1:] - f).ravel()
     if st.n_pin:
-        rows = slice(st.n_eq_rows - spec.m, st.n_eq_rows)
-        c[rows] = us[0] - pinned_a
-        if with_jac:
-            C[rows, st.u_idx[0]] = np.eye(spec.m)
-
+        c[st.n_dyn :] = us[0] - pinned_a
     h = spec.ineq_constraints(xs[:-1], us, phi).ravel() if spec.n_ineq else np.zeros(0)
-    if with_jac:
-        Hj = np.zeros((st.n_in_rows, st.nz))
-    if with_jac and spec.n_ineq:
-        hx, hu = spec.ineq_jac(xs[:-1], us, phi)
+    if not with_jac:
+        return c, h, None
+    return c, h, (fx, fu) + (spec.ineq_jac(xs[:-1], us, phi) if spec.n_ineq else (None, None))
+
+
+def _jacobians(st: _Stacker, jac):
+    """Jacobians C of the equality rows and Hj of the inequality rows,
+    assembled from the stage blocks (fx, fu, hx, hu) of _eval_constraints."""
+    fx, fu, hx, hu = jac
+    C = np.zeros((st.n_eq_rows, st.nz))
+    C[: st.n_dyn, : st.n_dyn] = np.eye(st.n_dyn)
+    C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
+    C[_blocks(st.x_idx, st.u_idx)] = -fu
+    if st.n_pin:
+        C[st.n_dyn :, st.u_idx[0]] = np.eye(st.spec.m)
+    Hj = np.zeros((st.n_in_rows, st.nz))
+    if hx is not None:
         Hj[_blocks(st.in_rows[1:], st.x_idx[:-1])] = hx[1:]
         Hj[_blocks(st.in_rows, st.u_idx)] = hu
-    return c, C, h, Hj
+    return C, Hj
 
 
 def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
@@ -176,48 +183,58 @@ def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
     xs = st.states(z, s)
     us = st.inputs(z)
     lxx, lxu, luu = spec.stage_hess(xs[:-1], us, phi)
-    terms = [w[:, None, None] * np.block([[lxx, lxu], [np.swapaxes(lxu, -1, -2), luu]])]
+    # the (x_k, u_k) block of every stage
+    K = np.empty((spec.H, n + spec.m, n + spec.m))
+    K[:, :n, :n], K[:, :n, n:], K[:, n:, :n], K[:, n:, n:] = lxx, lxu, np.swapaxes(lxu, -1, -2), luu
+    K *= w[:, None, None]
     if spec.dynamics_hess_vp is not None:
         # constraint is x_{k+1} - f, so f-curvature enters with a minus
-        terms.append(-spec.dynamics_hess_vp(xs[:-1], us, phi, lam[: st.n_dyn].reshape(spec.H, n)))
-    # (x_k, u_k) of the stages k >= 1; stage 0 has u_0 alone, x_0 = s being data
+        K -= spec.dynamics_hess_vp(xs[:-1], us, phi, lam[: st.n_dyn].reshape(spec.H, n))
+    # (x_k, u_k) of the stages k >= 1; stage 0 has u_0 alone, x_0 = s being
+    # data, and x_H the terminal block: no two blocks overlap
     xu = np.hstack([st.x_idx[:-1], st.u_idx[1:]])
     HL = np.zeros((st.nz, st.nz))
-    for K in terms:
-        HL[_blocks(xu, xu)] += K[1:]
-        HL[_blocks(st.u_idx[:1], st.u_idx[:1])] += K[:1, n:, n:]
-    HL[_blocks(st.x_idx[-1:], st.x_idx[-1:])] += wH * spec.terminal_hess(xs[spec.H], phi)
+    HL[_blocks(xu, xu)] = K[1:]
+    HL[_blocks(st.u_idx[:1], st.u_idx[:1])] = K[:1, n:, n:]
+    HL[_blocks(st.x_idx[-1:], st.x_idx[-1:])] = wH * spec.terminal_hess(xs[spec.H], phi)
     return HL
 
 
-def _condense(st: _Stacker, C, c):
-    """Null-space basis Z of the equality rows C and a step p0 with C p0 = -c.
+def _forward(Cx, b, trans=0):
+    """C_x^-1 b, or C_x^-T b with trans=1, for the unit lower block-triangular
+    state columns C_x of the dynamics rows: LAPACK's trtrs as scipy's
+    solve_triangular calls it, without that wrapper's checks (solve_ocp
+    returns "diverged" before a non-finite linearization reaches it)."""
+    return dtrtrs(Cx.T, b, lower=0, trans=1 - trans, unitdiag=1)[0]
 
-    The state columns C_x of the dynamics rows are unit lower block-triangular
-    (I on the diagonal, -f_x below it), so forward substitution gives
-    Z = [-C_x^-1 C_u; I] over the free inputs (u_1.. when u_0 is pinned) and
-    the states of p0, whose inputs are zero but for a pinned u_0 = -c_pin.
-    """
-    n_dyn, n_pin = st.n_dyn, st.n_pin
-    free = n_dyn + n_pin  # first column of the free inputs
-    Cx = C[:n_dyn, :n_dyn]
+
+def _null_space(st: _Stacker, C):
+    """Null-space basis Z = [-C_x^-1 C_u; I] of the equality rows C over the
+    free inputs (u_1.. when u_0 is pinned), by forward substitution."""
+    n_dyn, free = st.n_dyn, st.n_dyn + st.n_pin  # free: first free-input column
     Z = np.zeros((st.nz, st.nz - free))
-    Z[:n_dyn] = -solve_triangular(Cx, C[:n_dyn, free:], lower=True, unit_diagonal=True)
+    Z[:n_dyn] = -_forward(C[:n_dyn, :n_dyn], C[:n_dyn, free:])
     Z[free:] = np.eye(st.nz - free)
+    return Z
+
+
+def _condense(st: _Stacker, C, c):
+    """Null-space basis Z of the equality rows C and a step p0 with C p0 = -c,
+    whose inputs are zero but for a pinned u_0 = -c_pin."""
+    n_dyn, free = st.n_dyn, st.n_dyn + st.n_pin
     p0 = np.zeros(st.nz)
     p0[n_dyn:free] = -c[n_dyn:]
-    p0[:n_dyn] = solve_triangular(
-        Cx, -c[:n_dyn] - C[:n_dyn, n_dyn:free] @ p0[n_dyn:free], lower=True, unit_diagonal=True
-    )
-    return Z, p0
+    p0[:n_dyn] = _forward(C[:n_dyn, :n_dyn], -c[:n_dyn] - C[:n_dyn, n_dyn:free] @ p0[n_dyn:free])
+    return _null_space(st, C), p0
 
 
 def _eq_multipliers(st: _Stacker, C, r):
     """Multipliers of the dynamics rows, then the pin rows, from stationarity
-    r + C' lam = 0 on the state and u_0 columns, where r = HL p + grad + Hj' mu."""
+    r + C' lam = 0 on the state and u_0 columns, where r = HL p + grad + Hj' mu;
+    r (nz,) gives lam (n_eq_rows,), and k columns (nz, k) give (n_eq_rows, k)."""
     n_dyn = st.n_dyn
-    lam = np.zeros(st.n_eq_rows)
-    lam[:n_dyn] = -solve_triangular(C[:n_dyn, :n_dyn], r[:n_dyn], lower=True, trans="T", unit_diagonal=True)
+    lam = np.zeros((st.n_eq_rows,) + r.shape[1:])
+    lam[:n_dyn] = -_forward(C[:n_dyn, :n_dyn], r[:n_dyn], trans=1)
     if st.n_pin:
         u0 = slice(n_dyn, n_dyn + st.spec.m)
         lam[n_dyn:] = -(r[u0] + C[:n_dyn, u0].T @ lam[:n_dyn])
@@ -295,25 +312,27 @@ def solve_ocp(
 ) -> tuple[KKTPoint | None, SolveReport]:
     """Solve the OCP from state ``s``; pin the first input to price Q(s, a).
 
-    Returns (kkt, report).  kkt is None when no usable iterate exists
-    (infeasible problem or divergence); on status "max_iter" or "stalled" the
-    best iterate found is returned together with its residual.
+    Returns (kkt, report).  kkt is None when the QP finds the linearized
+    problem infeasible, or when an iterate, its objective, gradient,
+    constraint values or stage Jacobians are not finite (status "diverged").
+    On every other status ("max_iter", "stalled", or "diverged" from a QP
+    that fails) the best iterate found is returned with its residual.
     """
     cfg = settings or SolverSettings()
-    s = np.asarray(s, dtype=float)
+    s = np.array(s, dtype=float)  # copies, which the KKT points keep
     if s.shape != (spec.n,):
         raise ValueError(f"s shape {s.shape}, expected ({spec.n},)")
     if pinned_a is not None:
-        pinned_a = np.asarray(pinned_a, dtype=float)
+        pinned_a = np.array(pinned_a, dtype=float)
         if pinned_a.shape != (spec.m,):
             raise ValueError(f"pinned_a shape {pinned_a.shape}, expected ({spec.m},)")
     st = _Stacker(spec, pinned_a is not None)
 
     if warm_start is not None and warm_start.z.size == st.nz:
-        z = warm_start.z.copy()
-        lam = warm_start.lam.copy() if warm_start.lam.size == st.n_eq_rows else np.zeros(st.n_eq_rows)
-        mu = warm_start.mu.copy() if warm_start.mu.size == st.n_in_rows else np.zeros(st.n_in_rows)
-        active = warm_start.active_set.copy()
+        z = warm_start.z
+        lam = warm_start.lam if warm_start.lam.size == st.n_eq_rows else np.zeros(st.n_eq_rows)
+        mu = warm_start.mu if warm_start.mu.size == st.n_in_rows else np.zeros(st.n_in_rows)
+        active = warm_start.active_set
     else:
         z = _initial_iterate(st, phi, s, pinned_a)
         lam = np.zeros(st.n_eq_rows)
@@ -327,20 +346,14 @@ def solve_ocp(
         if not np.all(np.isfinite(z)):
             return None, SolveReport("diverged", it, np.inf)
         F, grad = _eval_objective(st, phi, z, s)
-        c, C, h, Hj = _eval_constraints(st, phi, z, s, pinned_a)
-        if not np.isfinite(F):
+        c, h, jac = _eval_constraints(st, phi, z, s, pinned_a)
+        finite = (np.isfinite(a).all() for a in (grad, c, h, *jac) if a is not None)
+        if not (np.isfinite(F) and all(finite)):
             return None, SolveReport("diverged", it, np.inf)
+        C, Hj = _jacobians(st, jac)
         resid = _kkt_residual(grad, c, h, C, Hj, lam, mu)
-        point = KKTPoint(
-            z=z.copy(),
-            lam=lam.copy(),
-            mu=mu.copy(),
-            active_set=active.copy(),
-            objective=F,
-            kkt_residual=resid,
-            s=s.copy(),
-            pinned_a=None if pinned_a is None else pinned_a.copy(),
-        )
+        # iterates are rebound, never changed in place, so points share them
+        point = KKTPoint(z, lam, mu, active, F, resid, s, pinned_a, jac)
         if best is None or resid < best[0]:
             best = (resid, point)
         if resid <= cfg.kkt_tol:
@@ -367,10 +380,7 @@ def solve_ocp(
         lam_new = _eq_multipliers(st, C, HL @ p + grad + Hj.T @ mu_new)
         active = qp.active_set
 
-        mult_inf = max(
-            np.max(np.abs(lam_new)) if lam_new.size else 0.0,
-            np.max(np.abs(mu_new)) if mu_new.size else 0.0,
-        )
+        mult_inf = np.max(np.abs(np.concatenate([lam_new, mu_new])))  # lam_new has H*n rows
         rho = max(rho, RHO_FACTOR * mult_inf + 1e-6)
         m0, viol0 = _merit(F, c, h, rho)
         # model slope of the merit function along p
@@ -382,7 +392,7 @@ def solve_ocp(
         while alpha >= cfg.alpha_min:
             z_try = z + alpha * p
             F_try, _ = _eval_objective(st, phi, z_try, s, with_grad=False)
-            c_try, _, h_try, _ = _eval_constraints(st, phi, z_try, s, pinned_a, with_jac=False)
+            c_try, h_try, _ = _eval_constraints(st, phi, z_try, s, pinned_a, with_jac=False)
             if np.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
                 if m_try <= m0 + ARMIJO_C1 * alpha * D + slack:
@@ -432,7 +442,7 @@ def mpc_policy(
     """
     kkt, report = solve_ocp(spec, phi, s, None, warm_start, settings)
     _require_converged(report, settings or SolverSettings())
-    return kkt.z[_Stacker(spec, False).u_idx[0]], kkt
+    return kkt.z[spec.H * spec.n :][: spec.m].copy(), kkt  # u_0 follows the H states
 
 
 def mpc_qvalue(

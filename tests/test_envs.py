@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmpc import envs
 from qmpc.envs import (
     CSTREnv,
     LQEnv,
@@ -11,8 +12,6 @@ from qmpc.envs import (
     constraint_violation_count,
     cstr_discrete,
     cstr_discrete_jac,
-    cstr_rhs,
-    cstr_rhs_jac,
     cstr_step,
     lq_step,
 )
@@ -24,6 +23,17 @@ from tests.conftest import CSTR_ODE_PARAMS, make_cstr_config
 # steady input and its stationary point, frozen from a root solve on the ODE
 A_SS = np.array([14.19, -1113.5])
 X_SS = np.array([0.783494349355, 0.653086065773, 139.99139068651, 138.706899176728])
+
+
+def rhs(s, a):
+    """The reactor kernel's ODE right-hand side at states s under inputs a."""
+    return np.stack(envs._rhs(CSTR_ODE_PARAMS, envs._columns(s), *envs._columns(a))[0], axis=-1)
+
+
+def rhs_jac(s, a):
+    """The reactor kernel's (d rhs/d state, d rhs/d input) at s under a."""
+    x, (F, Qd) = envs._columns(s), envs._columns(a)
+    return envs._rhs_jac(CSTR_ODE_PARAMS, x, F, envs._rhs(CSTR_ODE_PARAMS, x, F, Qd)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,7 @@ def test_lq_config_validation():
 
 
 def test_cstr_steady_state_is_stationary():
-    np.testing.assert_array_less(np.abs(cstr_rhs(CSTR_ODE_PARAMS, X_SS, A_SS)), 1e-9)
+    np.testing.assert_array_less(np.abs(rhs(X_SS, A_SS)), 1e-9)
     cfg = make_cstr_config()
     drift = cstr_discrete(cfg, X_SS, A_SS) - X_SS
     assert np.max(np.abs(drift)) <= 1e-10
@@ -126,23 +136,19 @@ def test_more_cooling_heat_raises_jacket_temperature():
 ])
 def test_rhs_jacobians_match_fd(point):
     s, a = point
-    Jx, Ju = cstr_rhs_jac(CSTR_ODE_PARAMS, s, a)
+    Jx, Ju = rhs_jac(s, a)
     h = 1e-6
     for i in range(4):
         dp_, dm = s.copy(), s.copy()
         dp_[i] += h * (1 + abs(s[i]))
         dm[i] -= h * (1 + abs(s[i]))
-        col = (cstr_rhs(CSTR_ODE_PARAMS, dp_, a) - cstr_rhs(CSTR_ODE_PARAMS, dm, a)) / (
-            dp_[i] - dm[i]
-        )
+        col = (rhs(dp_, a) - rhs(dm, a)) / (dp_[i] - dm[i])
         np.testing.assert_allclose(Jx[:, i], col, rtol=1e-5, atol=1e-5)
     for j in range(2):
         dp_, dm = a.copy(), a.copy()
         dp_[j] += h * (1 + abs(a[j]))
         dm[j] -= h * (1 + abs(a[j]))
-        col = (cstr_rhs(CSTR_ODE_PARAMS, s, dp_) - cstr_rhs(CSTR_ODE_PARAMS, s, dm)) / (
-            dp_[j] - dm[j]
-        )
+        col = (rhs(s, dp_) - rhs(s, dm)) / (dp_[j] - dm[j])
         np.testing.assert_allclose(Ju[:, j], col, rtol=1e-5, atol=1e-5)
 
 
@@ -221,12 +227,12 @@ def test_reactor_kernel_is_batch_invariant_bit_for_bit():
     k = min(len(c_A), len(T_R), 200)
     X, U = np.column_stack([c_A[:k], X[:k, 1], T_R[:k], X[:k, 3]]), U[:k]
     np.testing.assert_array_equal(
-        cstr_rhs(CSTR_ODE_PARAMS, X, U),
-        np.array([cstr_rhs(CSTR_ODE_PARAMS, x, u) for x, u in zip(X, U)]),
+        rhs(X, U),
+        np.array([rhs(x, u) for x, u in zip(X, U)]),
     )
-    Jx, Ju = cstr_rhs_jac(CSTR_ODE_PARAMS, X, U)
+    Jx, Ju = rhs_jac(X, U)
     for i in range(k):
-        for got, want in zip((Jx[i], Ju[i]), cstr_rhs_jac(CSTR_ODE_PARAMS, X[i], U[i])):
+        for got, want in zip((Jx[i], Ju[i]), rhs_jac(X[i], U[i])):
             np.testing.assert_array_equal(got, want)
 
 
@@ -235,11 +241,11 @@ def test_batched_rhs_jac_matches_per_state():
     cfg = make_cstr_config()
     X = rng.uniform(cfg.state_lo, cfg.state_hi, size=(2, 3, 4))
     U = rng.uniform(cfg.input_lo, cfg.input_hi, size=(3, 2))  # broadcast over axis 0
-    Jx, Ju = cstr_rhs_jac(CSTR_ODE_PARAMS, X, U)
+    Jx, Ju = rhs_jac(X, U)
     assert Jx.shape == (2, 3, 4, 4) and Ju.shape == (2, 3, 4, 2)
     for i in range(2):
         for k in range(3):
-            Jxk, Juk = cstr_rhs_jac(CSTR_ODE_PARAMS, X[i, k], U[k])
+            Jxk, Juk = rhs_jac(X[i, k], U[k])
             np.testing.assert_array_equal(Jx[i, k], Jxk)
             np.testing.assert_array_equal(Ju[i, k], Juk)
 

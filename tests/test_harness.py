@@ -1,5 +1,6 @@
 """Experiment drivers: metrics files, seeding, value training, LQ study."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from qmpc.harness import (
     default_terminal_weights,
     frobenius_mismatch,
     greedy_value_action,
-    read_metrics,
     run_lq_reinforce,
     run_oracle_suite,
     seed_int,
@@ -28,6 +28,11 @@ from tests.conftest import make_cstr_config
 
 # ---------------------------------------------------------------------------
 # small helpers
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def test_frobenius_mismatch():
@@ -61,10 +66,10 @@ def test_metrics_header_and_round_trip(tmp_path):
     text = (tmp_path / "metrics.csv").read_text().splitlines()
     assert text[0] == "run_id,episode_index,J_hat,stderr,frob_A,frob_B,td_loss,violation_count,wall_time"
     assert len(text) == 4
-    back = read_metrics(tmp_path / "metrics.csv")
-    assert back[1]["J_hat"] == -0.7503814412398  # repr round-trips exactly
-    assert back[0]["td_loss"] is None
-    assert back[2]["violation_count"] == 3.0
+    back = _csv_rows(tmp_path / "metrics.csv")
+    assert float(back[1]["J_hat"]) == -0.7503814412398  # repr round-trips exactly
+    assert back[0]["td_loss"] == ""
+    assert float(back[2]["violation_count"]) == 3.0
     assert json.loads((tmp_path / "summary.json").read_text()) == {"answer": 42}
 
 
@@ -179,7 +184,7 @@ def tiny_lq_config(seed=11):
 def test_lq_study_rows_and_initial_mismatch(tmp_path):
     cfg = tiny_lq_config()
     summary = run_lq_reinforce(cfg, tmp_path)
-    rows = read_metrics(tmp_path / "metrics.csv")
+    rows = _csv_rows(tmp_path / "metrics.csv")
     # one measurement row per iteration plus the final measurement, per run
     assert len(rows) == 2 * (1 + 1)
     for key in ("J_star", "gap_initial", "gap_final", "gap_closure",
@@ -192,9 +197,9 @@ def test_lq_study_rows_and_initial_mismatch(tmp_path):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, rep, 1]))
         dA = 0.15 * rng.standard_normal((2, 2))
         dB = 0.15 * rng.standard_normal((2, 1))
-        row = next(r for r in rows if r["run_id"] == rep and r["episode_index"] == 0)
-        assert row["frob_A"] == pytest.approx(np.sqrt(np.sum(dA**2)), abs=1e-12)
-        assert row["frob_B"] == pytest.approx(np.sqrt(np.sum(dB**2)), abs=1e-12)
+        row = next(r for r in rows if (r["run_id"], r["episode_index"]) == (str(rep), "0"))
+        assert float(row["frob_A"]) == pytest.approx(np.sqrt(np.sum(dA**2)), abs=1e-12)
+        assert float(row["frob_B"]) == pytest.approx(np.sqrt(np.sum(dB**2)), abs=1e-12)
     curves = (tmp_path / "curves.csv").read_text().splitlines()
     assert len(curves) == 3  # header + two episode indices
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qmpc import dp, solver
+from qmpc import dp, sensitivity, solver
 from qmpc.envs import build_cstr_ocp
 from qmpc.errors import DivergenceError, InfeasibleError, NonConvergenceError
-from qmpc.ocp import STAGE_CALLBACKS, build_lq_ocp
+from qmpc.ocp import STAGE_CALLBACKS, _rel_dev, build_lq_ocp
 from qmpc.sensitivity import grad_q_wrt_params, jac_policy_wrt_params
 from qmpc.solver import (
     MPCController,
@@ -239,6 +239,25 @@ def test_non_finite_warm_start_reports_divergence(lq2_ocp):
         mpc_policy(spec, phi, s, warm_start=broken)
 
 
+@pytest.mark.parametrize("block", [1, 2])
+def test_non_finite_linearization_reports_divergence(block, lq2_ocp):
+    # a NaN in the state (1) or input (2) Jacobian blocks ends the solve as a
+    # divergence, a typed error, instead of escaping from a triangular solve
+    spec, phi = lq2_ocp
+    s = np.array([0.2, 0.2])
+
+    def nan_jac(x, u, pv):
+        out = list(spec.dynamics_jac(x, u, pv))
+        out[block] = out[block] * np.nan
+        return tuple(out)
+
+    broken = dataclasses.replace(spec, dynamics_jac=nan_jac)
+    kkt, report = solve_ocp(broken, phi, s)
+    assert kkt is None and report.status == "diverged" and report.iterations == 0
+    with pytest.raises(DivergenceError):
+        mpc_policy(broken, phi, s)
+
+
 def test_input_shape_validation(lq2_ocp):
     spec, phi = lq2_ocp
     with pytest.raises(ValueError):
@@ -337,6 +356,8 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
 
         del log[:]
         jac_policy_wrt_params(logged, phi, kkt)
+        # it reuses the solve's last linearization, the blocks kkt carries
+        assert not {"dynamics", "dynamics_jac", "ineq_jac"} & {name for name, _, _ in log}
         # the policy Jacobian's m adjoint directions come to each VJP as a
         # leading batch axis, once per VJP
         vjps = [name for name in ("stage_grad_phi_vp", "dynamics_jac_phi_vp", "dynamics_phi_vp")
@@ -363,18 +384,23 @@ def test_value_gradient_calls_only_cost_and_dynamics_phi_gradients(lq2_ocp):
     assert Counter(name for name, _, _ in log) == {"stage_phi": 1, "dynamics_phi_vp": 1}
 
 
-@pytest.mark.parametrize("case", ["lq", "cstr"])
-def test_policy_jacobian_is_one_adjoint_solve(case, lq2, cstr_cfg, monkeypatch):
-    # the KKT matrix is solved once, for the m unit right-hand sides of the
-    # u_0 rows, never for one column per parameter
+def _policy_case(case, lq2, cstr_cfg):
+    """(spec, phi, s, settings): the bounded H=5 LQ spec at a state that
+    saturates its input bound, or the H=5 reactor spec."""
     if case == "lq":
         A, B, Qc, Rc, gamma, P, K = lq2
         spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=5, gamma=gamma, u_lo=-1.0, u_hi=1.0)
         # the unconstrained action -K s = -3 saturates the input bound
-        s, settings = 3.0 * K[0] / (K[0] @ K[0]), None
-    else:
-        spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
-        s, settings = np.array([0.8, 0.4, 130.0, 130.0]), SolverSettings(kkt_tol=1e-6)
+        return spec, phi, 3.0 * K[0] / (K[0] @ K[0]), None
+    spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
+    return spec, phi, np.array([0.8, 0.4, 130.0, 130.0]), SolverSettings(kkt_tol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_policy_jacobian_is_one_adjoint_solve(case, lq2, cstr_cfg, monkeypatch):
+    # the KKT matrix is solved once, for the m unit right-hand sides of the
+    # u_0 rows, never for one column per parameter
+    spec, phi, s, settings = _policy_case(case, lq2, cstr_cfg)
     _, kkt = mpc_policy(spec, phi, s, settings=settings)
     if case == "lq":
         assert kkt.active_set.size
@@ -389,6 +415,37 @@ def test_policy_jacobian_is_one_adjoint_solve(case, lq2, cstr_cfg, monkeypatch):
     jac = jac_policy_wrt_params(spec, phi, kkt).jac_action
     assert jac.shape == (spec.m, phi.size) and spec.m < phi.size
     assert len(rhs_shapes) == 1 and rhs_shapes[0][1:] == (spec.m,)
+
+
+@pytest.mark.parametrize("case", ["lq", "cstr"])
+def test_condensed_policy_jacobian_matches_full_space_solve(case, lq2, cstr_cfg):
+    # reference: the adjoint solve of the full-space KKT matrix
+    # K = [[H_L, C', C_A'], [C, 0, 0], [C_A, 0, 0]] for the u_0 columns of E,
+    # built here from a fresh linearization at the KKT point
+    spec, phi, s, settings = _policy_case(case, lq2, cstr_cfg)
+    if case == "lq":
+        # along the null direction of the gain K, u_0 stays inside the box
+        # while the plan rides the lower bound at stages 2 and 3
+        k = lq2[6][0]
+        s = 50.0 * np.array([-k[1], k[0]]) / np.linalg.norm(k)
+    a, kkt = mpc_policy(spec, phi, s, settings=settings)
+    if case == "lq":
+        np.testing.assert_array_equal(kkt.active_set, [5, 7])
+        assert abs(a[0]) < 0.1
+    st = solver._Stacker(spec, False)
+    z, lam = kkt.z, kkt.lam
+    C, Hj = solver._jacobians(st, solver._eval_constraints(st, phi, z, s, None)[2])
+    G = np.vstack([C, Hj[kkt.active_set]])
+    K = np.block([[solver._lagrangian_hessian(st, phi, z, s, lam), G.T],
+                  [G, np.zeros((len(G), len(G)))]])
+    E = np.zeros((len(K), spec.m))
+    E[st.u_idx[0], np.arange(spec.m)] = 1.0
+    Y = np.linalg.solve(K, E)
+    direction = (Y[: st.nz].T, Y[st.nz : st.nz + st.n_eq_rows].T)
+    want = -sensitivity._lagrangian_phi_grad(st, phi, z, s, lam, direction)
+    res = jac_policy_wrt_params(spec, phi, kkt)
+    assert res.regularity == "strict"
+    assert _rel_dev(res.jac_action, want) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["lq", "cstr"])
