@@ -1,14 +1,19 @@
 """Experiment configuration: strict YAML schema -> typed sections.
 
-Every mapping is checked for unknown keys so config typos fail loudly instead
-of silently running a default.  All validation problems raise ConfigError with
-the offending section path.
+Each section's dataclass is its schema: the fields are the allowed keys, the
+fields without a default the required ones, and each field's annotation the
+kind of value it takes.  The range checks live in each dataclass's
+``__post_init__``.  All validation problems raise ConfigError with the
+offending section path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import re
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -16,8 +21,6 @@ import yaml
 from .envs import CSTRConfig, LQEnvConfig
 from .errors import ConfigError
 from .solver import SolverSettings
-
-EXPERIMENTS = ("lq_reinforce", "cstr_vfmpc", "oracle_suite")
 
 
 def _check_keys(d: dict, allowed: set[str], required: set[str], where: str):
@@ -31,11 +34,40 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _arr(d: dict, key: str, where: str) -> np.ndarray:
+def _coerce(kind, value, where: str):
+    """``value`` as the annotated ``kind``: a YAML bool for bool, an integer
+    (not a bool or a float) for int, any non-bool number for float; a dict
+    passes as is (its dataclass checks it) and any other kind is an array."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, number):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+        return kind(value)
+    if kind is dict:
+        return value
     try:
-        return np.asarray(d[key], dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: not numeric ({exc})") from exc
+        raise ConfigError(f"{where}: not numeric ({exc})") from exc
+
+
+def _section(cls, d: dict, where: str):
+    """Build the dataclass ``cls`` from the mapping ``d``; a ValueError of its
+    ``__post_init__`` becomes a ConfigError naming the section."""
+    fs = fields(cls)
+    required = {f.name for f in fs if f.default is MISSING and f.default_factory is MISSING}
+    _check_keys(d, {f.name for f in fs}, required, where)
+    kinds = get_type_hints(cls)
+    values = {k: _coerce(kinds[k], v, f"{where}.{k}") for k, v in d.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -46,6 +78,14 @@ class OCPSection:
     model_perturbation: float = 0.0
     u_lo: np.ndarray | None = None
     u_hi: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.H < 1:
+            raise ValueError("H must be >= 1")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError("gamma must be in (0, 1)")
+        if self.model_perturbation < 0:
+            raise ValueError("model_perturbation must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,6 +101,12 @@ class LearnerSection:
     sigma_decay: float = 1.0
     sigma_min: float = 1e-3
 
+    def __post_init__(self):
+        if self.alpha <= 0 or self.iterations < 1 or self.episodes < 1 or self.T < 1:
+            raise ValueError("alpha, iterations, episodes, T must be positive")
+        if self.sigma0 <= 0 or self.sigma_min <= 0 or not 0 < self.sigma_decay <= 1:
+            raise ValueError("invalid sigma schedule")
+
     def sigma_at(self, iteration: int) -> float:
         return max(self.sigma_min, self.sigma0 * self.sigma_decay**iteration)
 
@@ -74,12 +120,22 @@ class TrainingSection:
     rmse_threshold: float
     epsilon: float = 0.2
 
+    def __post_init__(self):
+        if min(self.rounds, self.episodes, self.T) < 1 or self.action_grid < 2:
+            raise ValueError("counts must be positive (action_grid >= 2)")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError("epsilon must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class EvalSection:
     T: int
     x0: np.ndarray
     default_terminal_scale: float
+
+    def __post_init__(self):
+        if self.T < 1 or self.default_terminal_scale < 0:
+            raise ValueError("T must be >= 1 and scale >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,203 +152,43 @@ class ExperimentConfig:
     out_dir: str | None
 
 
-def _parse_lq_env(d: dict) -> LQEnvConfig:
-    where = "env"
-    _check_keys(
-        d,
-        {"type", "A", "B", "Qc", "Rc", "noise_std", "x0_lo", "x0_hi"},
-        {"type", "A", "B", "Qc", "Rc", "noise_std", "x0_lo", "x0_hi"},
-        where,
-    )
-    try:
-        return LQEnvConfig(
-            A=_arr(d, "A", where),
-            B=_arr(d, "B", where),
-            Qc=_arr(d, "Qc", where),
-            Rc=_arr(d, "Rc", where),
-            noise_std=_arr(d, "noise_std", where),
-            x0_lo=_arr(d, "x0_lo", where),
-            x0_hi=_arr(d, "x0_hi", where),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_cstr_env(d: dict) -> CSTRConfig:
-    where = "env"
-    keys = {
-        "type", "ode_params", "dt", "substeps", "state_lo", "state_hi",
-        "input_lo", "input_hi", "setpoint", "w_track", "w_move",
-        "reference_input", "x0_lo", "x0_hi",
-    }
-    _check_keys(d, keys, keys, where)
-    ode = d["ode_params"]
-    if not isinstance(ode, dict) or not all(
-        isinstance(v, (int, float)) for v in ode.values()
-    ):
-        raise ConfigError("env.ode_params: expected a flat mapping of numbers")
-    try:
-        return CSTRConfig(
-            ode_params={k: float(v) for k, v in ode.items()},
-            dt=float(d["dt"]),
-            substeps=int(d["substeps"]),
-            state_lo=_arr(d, "state_lo", where),
-            state_hi=_arr(d, "state_hi", where),
-            input_lo=_arr(d, "input_lo", where),
-            input_hi=_arr(d, "input_hi", where),
-            setpoint=float(d["setpoint"]),
-            w_track=float(d["w_track"]),
-            w_move=_arr(d, "w_move", where),
-            reference_input=_arr(d, "reference_input", where),
-            x0_lo=_arr(d, "x0_lo", where),
-            x0_hi=_arr(d, "x0_hi", where),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_ocp(d: dict) -> OCPSection:
-    where = "ocp"
-    _check_keys(
-        d,
-        {"H", "gamma", "discount_in_horizon", "model_perturbation", "u_lo", "u_hi"},
-        {"H", "gamma"},
-        where,
-    )
-    try:
-        sec = OCPSection(
-            H=int(d["H"]),
-            gamma=float(d["gamma"]),
-            discount_in_horizon=bool(d.get("discount_in_horizon", True)),
-            model_perturbation=float(d.get("model_perturbation", 0.0)),
-            u_lo=_arr(d, "u_lo", where) if "u_lo" in d else None,
-            u_hi=_arr(d, "u_hi", where) if "u_hi" in d else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if sec.H < 1:
-        raise ConfigError("ocp.H must be >= 1")
-    if not 0.0 < sec.gamma < 1.0:
-        raise ConfigError("ocp.gamma must be in (0, 1)")
-    if sec.model_perturbation < 0:
-        raise ConfigError("ocp.model_perturbation must be >= 0")
-    return sec
-
-
-def _parse_learner(d: dict) -> LearnerSection:
-    where = "learner"
-    _check_keys(
-        d,
-        {"alpha", "iterations", "episodes", "T", "sigma0", "sigma_decay", "sigma_min"},
-        {"alpha", "iterations", "episodes", "T", "sigma0"},
-        where,
-    )
-    try:
-        sec = LearnerSection(
-            alpha=float(d["alpha"]),
-            iterations=int(d["iterations"]),
-            episodes=int(d["episodes"]),
-            T=int(d["T"]),
-            sigma0=float(d["sigma0"]),
-            sigma_decay=float(d.get("sigma_decay", 1.0)),
-            sigma_min=float(d.get("sigma_min", 1e-3)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if sec.alpha <= 0 or sec.iterations < 1 or sec.episodes < 1 or sec.T < 1:
-        raise ConfigError(f"{where}: alpha, iterations, episodes, T must be positive")
-    if sec.sigma0 <= 0 or sec.sigma_min <= 0 or not 0 < sec.sigma_decay <= 1:
-        raise ConfigError(f"{where}: invalid sigma schedule")
-    return sec
-
-
-def _parse_training(d: dict) -> TrainingSection:
-    where = "training"
-    _check_keys(
-        d,
-        {"rounds", "episodes", "T", "action_grid", "rmse_threshold", "epsilon"},
-        {"rounds", "episodes", "T", "action_grid", "rmse_threshold"},
-        where,
-    )
-    try:
-        sec = TrainingSection(
-            rounds=int(d["rounds"]),
-            episodes=int(d["episodes"]),
-            T=int(d["T"]),
-            action_grid=int(d["action_grid"]),
-            rmse_threshold=float(d["rmse_threshold"]),
-            epsilon=float(d.get("epsilon", 0.2)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if min(sec.rounds, sec.episodes, sec.T) < 1 or sec.action_grid < 2:
-        raise ConfigError(f"{where}: counts must be positive (action_grid >= 2)")
-    if not 0.0 <= sec.epsilon <= 1.0:
-        raise ConfigError(f"{where}.epsilon must be in [0, 1]")
-    return sec
-
-
-def _parse_evaluation(d: dict) -> EvalSection:
-    where = "evaluation"
-    _check_keys(d, {"T", "x0", "default_terminal_scale"}, {"T", "x0", "default_terminal_scale"}, where)
-    try:
-        sec = EvalSection(
-            T=int(d["T"]),
-            x0=_arr(d, "x0", where),
-            default_terminal_scale=float(d["default_terminal_scale"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if sec.T < 1 or sec.default_terminal_scale < 0:
-        raise ConfigError(f"{where}: T must be >= 1 and scale >= 0")
-    return sec
-
-
 _SECTIONS_BY_EXPERIMENT = {
-    "lq_reinforce": {"env", "ocp", "learner"},
-    "cstr_vfmpc": {"env", "ocp", "training", "evaluation"},
-    "oracle_suite": set(),
+    "lq_reinforce": {"env": LQEnvConfig, "ocp": OCPSection, "learner": LearnerSection},
+    "cstr_vfmpc": {"env": CSTRConfig, "ocp": OCPSection, "training": TrainingSection,
+                   "evaluation": EvalSection},
+    "oracle_suite": {},
 }
+EXPERIMENTS = tuple(_SECTIONS_BY_EXPERIMENT)
+_ENV_TYPES = {"lq_reinforce": "lq", "cstr_vfmpc": "cstr"}
+_SECTIONS = ("env", "ocp", "learner", "training", "evaluation")
 
 
 def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
     """Validate a raw mapping into an ExperimentConfig (strict schema)."""
-    top_allowed = {"experiment", "seed", "repetitions", "env", "ocp", "learner",
-                   "training", "evaluation", "solver", "out_dir"}
-    _check_keys(raw, top_allowed, {"experiment", "seed"}, where)
+    _check_keys(raw, {f.name for f in fields(ExperimentConfig)}, {"experiment", "seed"}, where)
     experiment = raw["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     needed = _SECTIONS_BY_EXPERIMENT[experiment]
-    present = {k for k in ("env", "ocp", "learner", "training", "evaluation") if k in raw}
-    if present != needed:
+    present = {k for k in _SECTIONS if k in raw}
+    if present != set(needed):
         raise ConfigError(
             f"experiment {experiment} needs sections {sorted(needed)}, got {sorted(present)}"
         )
-    try:
-        seed = int(raw["seed"])
-        repetitions = int(raw.get("repetitions", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed/repetitions: {exc}") from exc
+    seed = _coerce(int, raw["seed"], "seed")
+    repetitions = _coerce(int, raw.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
 
-    env = None
-    if "env" in raw:
-        env_type = raw["env"].get("type") if isinstance(raw["env"], dict) else None
-        if experiment == "lq_reinforce":
-            if env_type != "lq":
-                raise ConfigError("env.type must be 'lq' for lq_reinforce")
-            env = _parse_lq_env(raw["env"])
-        else:
-            if env_type != "cstr":
-                raise ConfigError("env.type must be 'cstr' for cstr_vfmpc")
-            env = _parse_cstr_env(raw["env"])
-
-    try:
-        solver = SolverSettings.from_dict(raw.get("solver", {}) or {})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    sections = {}
+    for name, cls in needed.items():
+        d = raw[name]
+        if name == "env":
+            env_type = _ENV_TYPES[experiment]
+            if not isinstance(d, dict) or d.get("type") != env_type:
+                raise ConfigError(f"env.type must be '{env_type}' for {experiment}")
+            d = {k: v for k, v in d.items() if k != "type"}
+        sections[name] = _section(cls, d, name)
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -302,21 +198,27 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         experiment=experiment,
         seed=seed,
         repetitions=repetitions,
-        env=env,
-        ocp=_parse_ocp(raw["ocp"]) if "ocp" in raw else None,
-        learner=_parse_learner(raw["learner"]) if "learner" in raw else None,
-        training=_parse_training(raw["training"]) if "training" in raw else None,
-        evaluation=_parse_evaluation(raw["evaluation"]) if "evaluation" in raw else None,
-        solver=solver,
+        solver=_section(SolverSettings, raw.get("solver") or {}, "solver"),
         out_dir=out_dir,
+        **{name: sections.get(name) for name in _SECTIONS},
     )
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads a float written without a dot, such as
+    1e-3, as a float: YAML 1.2 does, PyYAML's YAML 1.1 reads a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a YAML experiment config file."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -120,6 +120,10 @@ class CSTRConfig:
     x0_hi: np.ndarray
 
     def __post_init__(self):
+        ode = self.ode_params
+        if not isinstance(ode, dict) or not all(isinstance(v, (int, float)) for v in ode.values()):
+            raise ValueError("ode_params: expected a flat mapping of numbers")
+        object.__setattr__(self, "ode_params", {k: float(v) for k, v in ode.items()})
         missing = [k for k in _CSTR_PARAMS if k not in self.ode_params]
         if missing:
             raise ValueError(f"missing reactor constants: {missing}")

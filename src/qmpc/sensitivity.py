@@ -71,15 +71,12 @@ def _check_converged(kkt: KKTPoint):
         )
 
 
-def _regularity(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> str:
-    """Strict complementarity check around the reported active set."""
-    if not spec.n_ineq:
-        return "strict"
-    st = _Stacker(spec, kkt.pinned_a is not None)
-    h = spec.ineq_constraints(st.states(kkt.z, kkt.s)[:-1], st.inputs(kkt.z), phi).ravel()
-    active = np.zeros(h.size, dtype=bool)
+def _regularity(kkt: KKTPoint) -> str:
+    """Strict complementarity check around the reported active set, on the
+    inequality values the solver computed at the KKT point."""
+    active = np.zeros(kkt.h.size, dtype=bool)
     active[kkt.active_set] = True
-    weak = np.any(kkt.mu[active] < DEGENERACY_TOL) or np.any(np.abs(h[~active]) < DEGENERACY_TOL)
+    weak = np.any(kkt.mu[active] < DEGENERACY_TOL) or np.any(np.abs(kkt.h[~active]) < DEGENERACY_TOL)
     return "degenerate" if weak else "strict"
 
 
@@ -131,7 +128,7 @@ def grad_q_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> Sen
     return SensitivityResult(
         grad_value=_lagrangian_phi_grad(st, phi, kkt.z, kkt.s, kkt.lam),
         jac_action=None,
-        regularity=_regularity(spec, phi, kkt),
+        regularity=_regularity(kkt),
         approximate=spec.dynamics_hess_vp is None,
     )
 
@@ -168,7 +165,7 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     C_A = Hj[np.asarray(kkt.active_set, dtype=int)]
     Z = _null_space(st, C)
     C_AZ = C_A @ Z
-    regularity = _regularity(spec, phi, kkt)
+    regularity = _regularity(kkt)
     if C_A.size and np.linalg.matrix_rank(C_AZ) < C_A.shape[0]:
         regularity = "degenerate"
 

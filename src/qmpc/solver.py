@@ -21,7 +21,7 @@ receding-horizon policy action u*_0 and its plan.  Both values are costs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -44,13 +44,9 @@ class SolverSettings:
     max_qp_pivots: int = 200
     alpha_min: float = 1e-10
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverSettings":
-        base = cls()
-        unknown = set(d) - set(base.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown solver settings: {sorted(unknown)}")
-        return replace(base, **d)
+    def __post_init__(self):
+        if self.max_sqp_iters < 0:  # solve_ocp needs one iterate to report
+            raise ValueError("max_sqp_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,16 +54,17 @@ class KKTPoint:
     """Primal-dual solution of one OCP solve.
 
     lam covers the dynamics rows, then the pin rows; mu covers the stacked
-    stage inequalities (H blocks of n_ineq rows).  active_set indexes rows of
-    mu that are tight.  jac holds the stage Jacobian blocks (fx, fu, hx, hu)
-    that dynamics_jac and ineq_jac returned at z (hx, hu None without
-    inequality rows), so the policy Jacobian reuses the solver's last
-    linearization instead of evaluating it again.
+    stage inequalities (H blocks of n_ineq rows), and h holds their values at
+    z.  active_set indexes rows of mu that are tight.  jac holds the stage
+    Jacobian blocks (fx, fu, hx, hu) that dynamics_jac and ineq_jac returned
+    at z (hx, hu None without inequality rows), so the sensitivities reuse
+    the solver's last evaluation instead of calling the callbacks again.
     """
 
     z: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
+    h: np.ndarray
     active_set: np.ndarray
     objective: float
     kkt_residual: float
@@ -353,7 +350,7 @@ def solve_ocp(
         C, Hj = _jacobians(st, jac)
         resid = _kkt_residual(grad, c, h, C, Hj, lam, mu)
         # iterates are rebound, never changed in place, so points share them
-        point = KKTPoint(z, lam, mu, active, F, resid, s, pinned_a, jac)
+        point = KKTPoint(z, lam, mu, h, active, F, resid, s, pinned_a, jac)
         if best is None or resid < best[0]:
             best = (resid, point)
         if resid <= cfg.kkt_tol:

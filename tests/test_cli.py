@@ -47,9 +47,11 @@ def test_validate_rejects_missing_file(tmp_path, capsys):
 
 
 def test_validate_rejects_bad_schema(tmp_path, capsys):
-    cfg = tiny_lq_yaml(tmp_path, repetitions=0)
-    assert main(["validate", "--config", str(cfg)]) == 2
-    assert "repetitions" in capsys.readouterr().err
+    for overrides, named in [({"repetitions": 0}, "repetitions"),
+                             ({"solver": {"max_sqp_iters": "50"}}, "solver.max_sqp_iters")]:
+        cfg = tiny_lq_yaml(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_run_with_every_repetition_flagged_exits_numeric(tmp_path, capsys, monkeypatch):

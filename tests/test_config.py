@@ -3,10 +3,12 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from qmpc.config import load_config, parse_config
 from qmpc.envs import CSTRConfig, LQEnvConfig
 from qmpc.errors import ConfigError
+from qmpc.solver import SolverSettings
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,8 +39,6 @@ def cstr_raw():
     cfg = load_config(REPO / "configs" / "cstr_vfmpc.yaml")
     # round-trip through the shipped file keeps this fixture honest
     assert isinstance(cfg.env, CSTRConfig)
-    import yaml
-
     return yaml.safe_load((REPO / "configs" / "cstr_vfmpc.yaml").read_text())
 
 
@@ -136,6 +136,41 @@ def test_value_range_checks():
     raw["repetitions"] = 0
     with pytest.raises(ConfigError, match="repetitions"):
         parse_config(raw)
+    raw = lq_raw()
+    raw["solver"] = {"max_sqp_iters": -1}
+    with pytest.raises(ConfigError, match="solver: max_sqp_iters must be >= 0"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("ocp", "H", 5.9),
+        (None, "seed", 1.9),
+        ("ocp", "discount_in_horizon", "false"),
+        ("learner", "iterations", True),
+        ("training", "action_grid", 3.5),
+        ("solver", "max_sqp_iters", "50"),
+    ],
+)
+def test_values_of_the_wrong_kind(section, key, value):
+    raw = cstr_raw() if section == "training" else lq_raw()
+    if section is None:
+        raw[key] = value
+    else:
+        raw.setdefault(section, {})[key] = value
+    where = key if section is None else f"{section}.{key}"
+    with pytest.raises(ConfigError, match=rf"^{where}: expected"):
+        parse_config(raw)
+
+
+def test_float_written_without_a_dot_loads_as_a_number(tmp_path):
+    # YAML 1.1 reads 2e-2 as a string; the loader reads it as YAML 1.2 does
+    raw = lq_raw()
+    raw["learner"]["sigma_min"] = "SIGMA"
+    p = tmp_path / "exp.yaml"
+    p.write_text(yaml.safe_dump(raw).replace("SIGMA", "2e-2"))
+    assert load_config(p).learner.sigma_min == 0.02
 
 
 def test_non_numeric_array_entry():
@@ -181,9 +216,15 @@ def test_solver_section_lands_in_settings():
     cfg = parse_config(raw)
     assert cfg.solver.kkt_tol == 1e-6
     assert cfg.solver.max_sqp_iters == 7
+    assert cfg.solver.max_qp_pivots == SolverSettings().max_qp_pivots
     raw["solver"] = {"pivot_budget": 3}
     with pytest.raises(ConfigError, match="solver"):
         parse_config(raw)
+    # the last three are module constants of the solver, not settings
+    for key in ("kkt_tolerance", "sigma0", "armijo_c1", "rho_factor"):
+        raw["solver"] = {key: 1e-6}
+        with pytest.raises(ConfigError, match="solver: unknown keys"):
+            parse_config(raw)
 
 
 def test_learner_sigma_schedule_round_trip():

@@ -9,8 +9,9 @@ import pytest
 import scipy.linalg
 
 from qmpc import dp, sensitivity, solver
+from qmpc.config import _section
 from qmpc.envs import build_cstr_ocp
-from qmpc.errors import DivergenceError, InfeasibleError, NonConvergenceError
+from qmpc.errors import ConfigError, DivergenceError, InfeasibleError, NonConvergenceError
 from qmpc.ocp import STAGE_CALLBACKS, _rel_dev, build_lq_ocp
 from qmpc.sensitivity import grad_q_wrt_params, jac_policy_wrt_params
 from qmpc.solver import (
@@ -357,7 +358,8 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
         del log[:]
         jac_policy_wrt_params(logged, phi, kkt)
         # it reuses the solve's last linearization, the blocks kkt carries
-        assert not {"dynamics", "dynamics_jac", "ineq_jac"} & {name for name, _, _ in log}
+        assert not {"dynamics", "dynamics_jac", "ineq_constraints", "ineq_jac"} & {
+            name for name, _, _ in log}
         # the policy Jacobian's m adjoint directions come to each VJP as a
         # leading batch axis, once per VJP
         vjps = [name for name in ("stage_grad_phi_vp", "dynamics_jac_phi_vp", "dynamics_phi_vp")
@@ -368,6 +370,8 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
             assert (x, u) == (adjoint if name in vjps else batch), name
         n_policy = len(log)
         grad_q_wrt_params(logged, phi, kkt)
+        # both read the inequality values the solve computed at the KKT point
+        assert "ineq_constraints" not in {name for name, _, _ in log}
         assert all((x, u) == batch for _, x, u in log[n_policy:])
         traffic.append(Counter(name for name, _, _ in log))
     assert traffic[0] == traffic[1]
@@ -478,11 +482,11 @@ def test_sqp_runs_no_rank_revealing_factorization(case, lq2, cstr_cfg, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# settings
+# settings: a solver mapping becomes SolverSettings through the config reader
 
 
 def test_settings_from_dict_roundtrip():
-    st = SolverSettings.from_dict({"kkt_tol": 1e-6, "max_sqp_iters": 10})
+    st = _section(SolverSettings, {"kkt_tol": 1e-6, "max_sqp_iters": 10}, "solver")
     assert st.kkt_tol == 1e-6
     assert st.max_sqp_iters == 10
     assert st.max_qp_pivots == SolverSettings().max_qp_pivots
@@ -491,5 +495,5 @@ def test_settings_from_dict_roundtrip():
 def test_settings_from_dict_rejects_unknown():
     # the last three are module constants of the solver, not settings
     for key in ("kkt_tolerance", "sigma0", "armijo_c1", "rho_factor"):
-        with pytest.raises(ValueError, match="unknown solver settings"):
-            SolverSettings.from_dict({key: 1e-6})
+        with pytest.raises(ConfigError, match="solver: unknown keys"):
+            _section(SolverSettings, {key: 1e-6}, "solver")
