@@ -58,15 +58,8 @@ def _cmd_run(args) -> int:
 
     if cfg.experiment == "lq_reinforce":
         summary = run_lq_reinforce(cfg, out)
-    elif cfg.experiment == "cstr_vfmpc":
+    else:  # parse_config admits the two studies only
         summary = run_cstr_vfmpc(cfg, out)
-    elif cfg.experiment == "oracle_suite":
-        summary = run_oracle_suite(out, seed=cfg.seed)
-        if not summary["passed"]:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return EXIT_NUMERIC
-    else:  # pragma: no cover - parse_config already rejects unknown names
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 

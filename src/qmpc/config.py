@@ -156,7 +156,6 @@ _SECTIONS_BY_EXPERIMENT = {
     "lq_reinforce": {"env": LQEnvConfig, "ocp": OCPSection, "learner": LearnerSection},
     "cstr_vfmpc": {"env": CSTRConfig, "ocp": OCPSection, "training": TrainingSection,
                    "evaluation": EvalSection},
-    "oracle_suite": {},
 }
 EXPERIMENTS = tuple(_SECTIONS_BY_EXPERIMENT)
 _ENV_TYPES = {"lq_reinforce": "lq", "cstr_vfmpc": "cstr"}

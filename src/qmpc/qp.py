@@ -6,17 +6,18 @@ with the sign convention that stationarity reads
     Hx + g + Aineq' mu = 0,   mu >= 0.
 
 The QP has inequality rows only: the SQP eliminates its equality rows (the
-dynamics and pin rows) by condensing before it calls here.  H must be
-positive definite (the SQP certifies it by the same Cholesky test), so every
-working set of independent rows has a nonsingular KKT matrix.
+dynamics) by condensing before it calls here.  H must be positive definite
+(the SQP certifies it by the same Cholesky test), so every working set of
+independent rows has a nonsingular KKT matrix.
 
 The working set is iterated in the classic primal fashion: take the step that
 solves the current equality-constrained subproblem, cut it at the first
-blocking inequality (which joins the working set), and drop the constraint
-with the most negative multiplier when the step is zero.  A row dependent on
-the working set never blocks, and a singular warm start is started cold.  If
-a working set ever repeats, constraint selection switches to the
-lowest-index rule, which cannot cycle.  Exact active sets (not just
+blocking inequality (which joins the working set; on a tie, the lowest row),
+and drop the constraint with the most negative multiplier when the step is
+zero.  All-zero rows never enter the working set, and every row keeps its own
+index.  A row dependent on the working set never blocks, and a singular warm
+start is started cold.  If a working set ever repeats, the drop switches to
+the lowest-index rule, which cannot cycle.  Exact active sets (not just
 solutions) are part of the contract, since parameter sensitivities are
 computed from them downstream.
 """
@@ -130,15 +131,14 @@ def qp_solve(
     live = np.linalg.norm(Ain, axis=1) >= ZERO_ROW_TOL
     if np.any(bin_[~live] < -FEAS_TOL):
         return fail("infeasible")
-    live_in = np.flatnonzero(live)
 
     if nz == 0:
         # nothing to choose (a fully pinned horizon): the zero rows above
         # decided feasibility
         return QPSolution(np.zeros(0), np.zeros(n_in), np.zeros(0, dtype=int), "converged", 0)
 
-    A_live = Ain[live_in]
-    b_live = bin_[live_in]
+    def feasible(x):
+        return np.all((Ain @ x - bin_)[live] <= FEAS_TOL)
 
     # solver._regularize certifies this same symmetrized matrix before calling
     try:
@@ -152,31 +152,22 @@ def qp_solve(
     x = None
     work: list[int] = []
     if active0 is not None:
-        warm = [int(np.searchsorted(live_in, i)) for i in np.asarray(active0, dtype=int)
-                if i in live_in]
+        warm = [int(i) for i in np.asarray(active0, dtype=int) if 0 <= i < n_in and live[i]]
         if warm:
-            x_w, _, resid_w = _solve_kkt(H, A_live[warm], g, b_live[warm])
-            if (
-                resid_w <= 1e3 * FEAS_TOL
-                and np.all(np.isfinite(x_w))
-                and np.max(A_live @ x_w - b_live) <= FEAS_TOL
-            ):
+            x_w, _, resid_w = _solve_kkt(H, Ain[warm], g, bin_[warm])
+            if resid_w <= 1e3 * FEAS_TOL and np.all(np.isfinite(x_w)) and feasible(x_w):
                 x = x_w
                 work = warm
     if x is None:
         x_free, _, resid = _solve_kkt(H, np.zeros((0, nz)), g, np.zeros(0))
-        if (
-            resid <= 1e3 * FEAS_TOL
-            and np.all(np.isfinite(x_free))
-            and (A_live.size == 0 or np.max(A_live @ x_free - b_live) <= FEAS_TOL)
-        ):
+        if resid <= 1e3 * FEAS_TOL and np.all(np.isfinite(x_free)) and feasible(x_free):
             x = x_free
-            if not live_in.size:
+            if not live.any():
                 # no row can block or leave: the free optimum is the solution
                 return QPSolution(x, np.zeros(n_in), np.zeros(0, dtype=int), "converged", 0)
     if x is None:
         # without rows the free solve itself failed, and so will the first pivot
-        x = _phase1_point(A_live, b_live) if A_live.size else np.zeros(nz)
+        x = _phase1_point(Ain[live], bin_[live]) if live.any() else np.zeros(nz)
         if x is None:
             return fail("infeasible")
 
@@ -189,9 +180,8 @@ def qp_solve(
             bland = True
         seen.add(key)
 
-        A_act = A_live[work]
         g_eff = g + H @ x
-        p, mu_work, resid = _solve_kkt(H, A_act, g_eff, 0.0)
+        p, mu_work, resid = _solve_kkt(H, Ain[work], g_eff, 0.0)
         if resid > 1e3 * FEAS_TOL or not np.all(np.isfinite(p)):
             # with H positive definite only dependent working rows can do
             # this, and neither the warm start nor the pivots admit one
@@ -208,36 +198,27 @@ def qp_solve(
         if np.max(np.abs(p)) <= FEAS_TOL * (1.0 + np.max(np.abs(x))) or decrease <= noise:
             if mu_work.size == 0 or np.min(mu_work) >= -FEAS_TOL:
                 mu = np.zeros(n_in)
-                for w, val in zip(work, mu_work):
-                    mu[live_in[w]] = max(float(val), 0.0)
-                active = np.sort(live_in[np.array(work, dtype=int)]) if work else np.zeros(0, dtype=int)
-                return QPSolution(
-                    primal=x,
-                    dual_ineq=mu,
-                    active_set=active,
-                    status="converged",
-                    iterations=it,
-                )
-            neg = [w for w, val in zip(work, mu_work) if val < -FEAS_TOL]
+                mu[work] = np.maximum(mu_work, 0.0)
+                return QPSolution(x, mu, np.sort(np.array(work, dtype=int)), "converged", it)
             if bland:
-                drop = min(neg, key=lambda w: live_in[w])
+                drop = min(w for w, val in zip(work, mu_work) if val < -FEAS_TOL)
             else:
                 drop = work[int(np.argmin(mu_work))]
             work.remove(drop)
             continue
 
         # Nonzero step: cut at the first blocking inequality.
-        cand = [
-            (float((b_live[i] - A_live[i] @ x) / (A_live[i] @ p)), i)
-            for i in range(len(live_in))
-            if i not in work and A_live[i] @ p > FEAS_TOL
-        ]
+        Ap = Ain @ p
+        cand = live & (Ap > FEAS_TOL)
+        cand[work] = False
+        rows = np.flatnonzero(cand)
         alpha = 1.0
         blocker = None
-        if cand:
-            a_min, j = min(cand, key=lambda c: (c[0], live_in[c[1]]) if bland else (c[0], c[1]))
-            if a_min < 1.0 - 1e-15:
-                alpha, blocker = max(a_min, 0.0), j
+        if rows.size:
+            ratio = (bin_[rows] - Ain[rows] @ x) / Ap[rows]
+            j = int(np.argmin(ratio))  # the first, lowest row on a tie
+            if ratio[j] < 1.0 - 1e-15:
+                alpha, blocker = max(ratio[j], 0.0), int(rows[j])
         x = x + alpha * p
         if blocker is not None:
             work.append(blocker)

@@ -82,11 +82,11 @@ def _regularity(kkt: KKTPoint) -> str:
 
 def _lagrangian_phi_grad(st: _Stacker, phi, z, s, lam, direction=None):
     """dL/dphi at the primal-dual point (z, lam), shape (p,); or, given k
-    primal-dual directions (dz (k, nz), dlam (k, n_eq_rows)), the derivative
+    primal-dual directions (dz (k, nz), dlam (k, n_dyn)), the derivative
     along each, d/dphi (grad_z L . dz + c . dlam), shape (k, p).
 
-    The inequalities do not depend on phi, so mu drops out, and so do the pin
-    rows.  A phi-derivative callback that is None contributes nothing.
+    The inequalities do not depend on phi, so mu drops out.  A
+    phi-derivative callback that is None contributes nothing.
     """
     spec = st.spec
     H = spec.H

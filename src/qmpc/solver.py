@@ -1,18 +1,19 @@
 """Multiple-shooting SQP solver for parametric OCPs.
 
 The decision vector stacks z = [x_1..x_H, u_0..u_{H-1}]; the initial state is
-eliminated (x_0 = s enters the data).  Dynamics become equality constraints
-x_{k+1} - f(x_k, u_k, phi) = 0, a pinned first input adds the rows
-u_0 - a = 0, and stage inequalities h(x_k, u_k, phi) <= 0 stack over the
-horizon.
+eliminated (x_0 = s enters the data).  A pinned first input is data too:
+u_0 = a is written into z, and no step moves it.  Dynamics become equality
+constraints x_{k+1} - f(x_k, u_k, phi) = 0, and stage inequalities
+h(x_k, u_k, phi) <= 0 stack over the horizon.
 
-Each SQP iteration condenses the linearized dynamics and pin rows (Bock &
-Plitt 1984): the step is p = p0 + Z v, where p0 satisfies those rows and
-Z = [dX/dU; I] spans their null space over the free inputs.  The active-set
-QP in v, on the (regularized) Lagrangian Hessian reduced by Z, carries the
-inequality rows only; the multipliers of the dynamics and pin rows follow
-from stationarity by one transposed triangular solve.  A backtracking line
-search on an l1 merit function globalizes the step.
+Each SQP iteration condenses the linearized dynamics (Bock & Plitt 1984): the
+step is p = p0 + Z v, where p0 satisfies those rows and moves the states
+only, and Z = [dX/dU; I] spans their null space over the free inputs (u_1..
+when u_0 is pinned).  The active-set QP in v, on the (regularized) Lagrangian
+Hessian reduced by Z, carries the inequality rows only; the multipliers of
+the dynamics rows follow from stationarity by one transposed triangular
+solve.  A backtracking line search on an l1 merit function globalizes the
+step.
 
 Solving with a pinned first input prices Q(s, a); the free solve returns the
 receding-horizon policy action u*_0 and its plan.  Both values are costs
@@ -53,12 +54,14 @@ class SolverSettings:
 class KKTPoint:
     """Primal-dual solution of one OCP solve.
 
-    lam covers the dynamics rows, then the pin rows; mu covers the stacked
-    stage inequalities (H blocks of n_ineq rows), and h holds their values at
-    z.  active_set indexes rows of mu that are tight.  jac holds the stage
-    Jacobian blocks (fx, fu, hx, hu) that dynamics_jac and ineq_jac returned
-    at z (hx, hu None without inequality rows), so the sensitivities reuse
-    the solver's last evaluation instead of calling the callbacks again.
+    lam covers the dynamics rows, H*n of them whether or not u_0 is pinned:
+    a pinned u_0 = a is data, like x_0 = s, and has no multiplier.  mu covers
+    the stacked stage inequalities (H blocks of n_ineq rows), and h holds
+    their values at z.  active_set indexes rows of mu that are tight.  jac
+    holds the stage Jacobian blocks (fx, fu, hx, hu) that dynamics_jac and
+    ineq_jac returned at z (hx, hu None without inequality rows), so the
+    sensitivities reuse the solver's last evaluation instead of calling the
+    callbacks again.
     """
 
     z: np.ndarray
@@ -90,8 +93,7 @@ class _Stacker:
         H, n, m = spec.H, spec.n, spec.m
         self.nz = H * n + H * m
         self.n_dyn = H * n
-        self.n_pin = m if pinned else 0
-        self.n_eq_rows = self.n_dyn + self.n_pin
+        self.free = self.n_dyn + (m if pinned else 0)  # first free-input column
         self.n_in_rows = H * spec.n_ineq
         # per stage k: x_idx[k] indexes x_{k+1} in z (and stage k's dynamics
         # rows), u_idx[k] u_k, in_rows[k] its inequality rows; x_0 = s is data
@@ -133,8 +135,8 @@ def _eval_objective(st: _Stacker, phi, z, s, with_grad=True):
     return float(F), grad
 
 
-def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
-    """Values c, h of the equality and inequality rows at z and, with
+def _eval_constraints(st: _Stacker, phi, z, s, with_jac=True):
+    """Values c, h of the dynamics and inequality rows at z and, with
     ``with_jac``, the stage Jacobian blocks (fx, fu, hx, hu) (else None).
     Each stage callback is called once, on all H stages."""
     spec = st.spec
@@ -144,10 +146,7 @@ def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
         f, fx, fu = spec.dynamics_jac(xs[:-1], us, phi)
     else:
         f = spec.dynamics(xs[:-1], us, phi)
-    c = np.zeros(st.n_eq_rows)
-    c[: st.n_dyn] = (xs[1:] - f).ravel()
-    if st.n_pin:
-        c[st.n_dyn :] = us[0] - pinned_a
+    c = (xs[1:] - f).ravel()
     h = spec.ineq_constraints(xs[:-1], us, phi).ravel() if spec.n_ineq else np.zeros(0)
     if not with_jac:
         return c, h, None
@@ -155,15 +154,13 @@ def _eval_constraints(st: _Stacker, phi, z, s, pinned_a, with_jac=True):
 
 
 def _jacobians(st: _Stacker, jac):
-    """Jacobians C of the equality rows and Hj of the inequality rows,
+    """Jacobians C of the dynamics rows and Hj of the inequality rows,
     assembled from the stage blocks (fx, fu, hx, hu) of _eval_constraints."""
     fx, fu, hx, hu = jac
-    C = np.zeros((st.n_eq_rows, st.nz))
-    C[: st.n_dyn, : st.n_dyn] = np.eye(st.n_dyn)
+    C = np.zeros((st.n_dyn, st.nz))
+    C[:, : st.n_dyn] = np.eye(st.n_dyn)
     C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
     C[_blocks(st.x_idx, st.u_idx)] = -fu
-    if st.n_pin:
-        C[st.n_dyn :, st.u_idx[0]] = np.eye(st.spec.m)
     Hj = np.zeros((st.n_in_rows, st.nz))
     if hx is not None:
         Hj[_blocks(st.in_rows[1:], st.x_idx[:-1])] = hx[1:]
@@ -186,7 +183,7 @@ def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
     K *= w[:, None, None]
     if spec.dynamics_hess_vp is not None:
         # constraint is x_{k+1} - f, so f-curvature enters with a minus
-        K -= spec.dynamics_hess_vp(xs[:-1], us, phi, lam[: st.n_dyn].reshape(spec.H, n))
+        K -= spec.dynamics_hess_vp(xs[:-1], us, phi, lam.reshape(spec.H, n))
     # (x_k, u_k) of the stages k >= 1; stage 0 has u_0 alone, x_0 = s being
     # data, and x_H the terminal block: no two blocks overlap
     xu = np.hstack([st.x_idx[:-1], st.u_idx[1:]])
@@ -199,43 +196,35 @@ def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
 
 def _forward(Cx, b, trans=0):
     """C_x^-1 b, or C_x^-T b with trans=1, for the unit lower block-triangular
-    state columns C_x of the dynamics rows: LAPACK's trtrs as scipy's
+    state columns C_x of the dynamics rows C: LAPACK's trtrs as scipy's
     solve_triangular calls it, without that wrapper's checks (solve_ocp
     returns "diverged" before a non-finite linearization reaches it)."""
     return dtrtrs(Cx.T, b, lower=0, trans=1 - trans, unitdiag=1)[0]
 
 
 def _null_space(st: _Stacker, C):
-    """Null-space basis Z = [-C_x^-1 C_u; I] of the equality rows C over the
+    """Null-space basis Z = [-C_x^-1 C_u; I] of the dynamics rows C over the
     free inputs (u_1.. when u_0 is pinned), by forward substitution."""
-    n_dyn, free = st.n_dyn, st.n_dyn + st.n_pin  # free: first free-input column
+    n_dyn, free = st.n_dyn, st.free
     Z = np.zeros((st.nz, st.nz - free))
-    Z[:n_dyn] = -_forward(C[:n_dyn, :n_dyn], C[:n_dyn, free:])
+    Z[:n_dyn] = -_forward(C[:, :n_dyn], C[:, free:])
     Z[free:] = np.eye(st.nz - free)
     return Z
 
 
 def _condense(st: _Stacker, C, c):
-    """Null-space basis Z of the equality rows C and a step p0 with C p0 = -c,
-    whose inputs are zero but for a pinned u_0 = -c_pin."""
-    n_dyn, free = st.n_dyn, st.n_dyn + st.n_pin
+    """Null-space basis Z of the dynamics rows C and a step p0 with C p0 = -c
+    that moves the states only."""
     p0 = np.zeros(st.nz)
-    p0[n_dyn:free] = -c[n_dyn:]
-    p0[:n_dyn] = _forward(C[:n_dyn, :n_dyn], -c[:n_dyn] - C[:n_dyn, n_dyn:free] @ p0[n_dyn:free])
+    p0[: st.n_dyn] = _forward(C[:, : st.n_dyn], -c)
     return _null_space(st, C), p0
 
 
 def _eq_multipliers(st: _Stacker, C, r):
-    """Multipliers of the dynamics rows, then the pin rows, from stationarity
-    r + C' lam = 0 on the state and u_0 columns, where r = HL p + grad + Hj' mu;
-    r (nz,) gives lam (n_eq_rows,), and k columns (nz, k) give (n_eq_rows, k)."""
-    n_dyn = st.n_dyn
-    lam = np.zeros((st.n_eq_rows,) + r.shape[1:])
-    lam[:n_dyn] = -_forward(C[:n_dyn, :n_dyn], r[:n_dyn], trans=1)
-    if st.n_pin:
-        u0 = slice(n_dyn, n_dyn + st.spec.m)
-        lam[n_dyn:] = -(r[u0] + C[:n_dyn, u0].T @ lam[:n_dyn])
-    return lam
+    """Multipliers of the dynamics rows from stationarity r + C' lam = 0 on
+    the state columns, where r = HL p + grad + Hj' mu; r (nz,) gives lam
+    (n_dyn,), and k columns (nz, k) give (n_dyn, k)."""
+    return -_forward(C[:, : st.n_dyn], r[: st.n_dyn], trans=1)
 
 
 def _regularize(HL, Z):
@@ -264,8 +253,9 @@ def _merit(F, c, h, rho):
     return F + rho * viol, viol
 
 
-def _kkt_residual(grad, c, h, C, Hj, lam, mu):
+def _kkt_residual(st: _Stacker, grad, c, h, C, Hj, lam, mu):
     stat = grad + C.T @ lam + (Hj.T @ mu if mu.size else 0.0)
+    stat[st.n_dyn : st.free] = 0.0  # a pinned u_0 is data, not a decision
     parts = [np.max(np.abs(stat)) if stat.size else 0.0]
     parts.append(np.max(np.abs(c)) if c.size else 0.0)
     if h.size:
@@ -327,12 +317,15 @@ def solve_ocp(
 
     if warm_start is not None and warm_start.z.size == st.nz:
         z = warm_start.z
-        lam = warm_start.lam if warm_start.lam.size == st.n_eq_rows else np.zeros(st.n_eq_rows)
+        if pinned_a is not None:
+            z = z.copy()
+            z[st.u_idx[0]] = pinned_a
+        lam = warm_start.lam if warm_start.lam.size == st.n_dyn else np.zeros(st.n_dyn)
         mu = warm_start.mu if warm_start.mu.size == st.n_in_rows else np.zeros(st.n_in_rows)
         active = warm_start.active_set
     else:
         z = _initial_iterate(st, phi, s, pinned_a)
-        lam = np.zeros(st.n_eq_rows)
+        lam = np.zeros(st.n_dyn)
         mu = np.zeros(st.n_in_rows)
         active = np.zeros(0, dtype=int)
 
@@ -343,12 +336,12 @@ def solve_ocp(
         if not np.all(np.isfinite(z)):
             return None, SolveReport("diverged", it, np.inf)
         F, grad = _eval_objective(st, phi, z, s)
-        c, h, jac = _eval_constraints(st, phi, z, s, pinned_a)
+        c, h, jac = _eval_constraints(st, phi, z, s)
         finite = (np.isfinite(a).all() for a in (grad, c, h, *jac) if a is not None)
         if not (np.isfinite(F) and all(finite)):
             return None, SolveReport("diverged", it, np.inf)
         C, Hj = _jacobians(st, jac)
-        resid = _kkt_residual(grad, c, h, C, Hj, lam, mu)
+        resid = _kkt_residual(st, grad, c, h, C, Hj, lam, mu)
         # iterates are rebound, never changed in place, so points share them
         point = KKTPoint(z, lam, mu, h, active, F, resid, s, pinned_a, jac)
         if best is None or resid < best[0]:
@@ -377,7 +370,7 @@ def solve_ocp(
         lam_new = _eq_multipliers(st, C, HL @ p + grad + Hj.T @ mu_new)
         active = qp.active_set
 
-        mult_inf = np.max(np.abs(np.concatenate([lam_new, mu_new])))  # lam_new has H*n rows
+        mult_inf = np.max(np.abs(np.concatenate([lam_new, mu_new])))
         rho = max(rho, RHO_FACTOR * mult_inf + 1e-6)
         m0, viol0 = _merit(F, c, h, rho)
         # model slope of the merit function along p
@@ -389,7 +382,7 @@ def solve_ocp(
         while alpha >= cfg.alpha_min:
             z_try = z + alpha * p
             F_try, _ = _eval_objective(st, phi, z_try, s, with_grad=False)
-            c_try, h_try, _ = _eval_constraints(st, phi, z_try, s, pinned_a, with_jac=False)
+            c_try, h_try, _ = _eval_constraints(st, phi, z_try, s, with_jac=False)
             if np.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
                 if m_try <= m0 + ARMIJO_C1 * alpha * D + slack:

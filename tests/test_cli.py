@@ -54,6 +54,14 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_validate_rejects_oracle_suite_config(tmp_path, capsys):
+    # the oracle suite runs from its own subcommand, not from a config
+    cfg = tmp_path / "oracle.yaml"
+    cfg.write_text(yaml.safe_dump({"experiment": "oracle_suite", "seed": 0}))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "experiment must be one of" in capsys.readouterr().err
+
+
 def test_run_with_every_repetition_flagged_exits_numeric(tmp_path, capsys, monkeypatch):
     from qmpc import harness
     from qmpc.errors import NonConvergenceError

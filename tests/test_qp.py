@@ -123,6 +123,39 @@ def test_dependent_warm_start_falls_back_to_cold_start():
     assert sol.active_set.tolist() == cold.active_set.tolist() == [0]
     assert sol.dual_ineq.tolist() == cold.dual_ineq.tolist() == [2.0, 0.0, 0.0]
     assert np.array_equal(sol.primal, cold.primal)
+    # with a row 3 below ZERO_ROW_TOL added, which counts as all zero: a warm
+    # start naming it, or an index outside the rows, names no row that can
+    # enter the working set, and the solve starts cold
+    Aineq, bineq = np.vstack([Aineq, [1e-15, 0.0]]), np.append(bineq, 0.0)
+    cold = qp_solve(H, g, Aineq, bineq)
+    for active0 in ([3], [4], [-1], [3, 9]):
+        sol = qp_solve(H, g, Aineq, bineq, active0=np.array(active0))
+        assert sol.status == cold.status == "converged"
+        assert sol.iterations == cold.iterations
+        assert sol.active_set.tolist() == cold.active_set.tolist() == [0]
+        assert np.array_equal(sol.primal, cold.primal)
+
+
+def _tie_qp(c2, c3):
+    """Row 0 is all zero; rows 2 and 3 both read x_0 <= 1, scaled by c2 and
+    c3.  From the warm start on row 1 (x = 0), the multiplier of row 1 is
+    negative, and once it is dropped the free step (2, 2) reaches rows 2 and
+    3 at the same step length 0.5."""
+    H = np.eye(2)
+    g = np.array([-2.0, -2.0])
+    A = np.array([[0.0, 0.0], [-1.0, -1.0], [c2, 0.0], [c3, 0.0], [0.0, 1.0]])
+    b = np.array([0.0, 0.0, c2, c3, 5.0])
+    return H, g, A, b
+
+
+def test_tied_blockers_admit_the_lower_row():
+    for c2, c3 in ((2.0, 1.0), (1.0, 2.0)):
+        H, g, A, b = _tie_qp(c2, c3)
+        sol = qp_solve(H, g, A, b, active0=np.array([1]))
+        assert sol.status == "converged" and sol.iterations == 4
+        assert sol.primal.tolist() == [1.0, 2.0]
+        assert sol.active_set.tolist() == [2]
+        assert sol.dual_ineq.tolist() == [0.0, 0.0, 1.0 / c2, 0.0, 0.0]
 
 
 def test_certificate_on_mixed_constraints():

@@ -146,6 +146,22 @@ def test_constraints_hold_along_closed_loop():
         x = phi.segment("A").reshape(1, 1) @ x + phi.segment("B").reshape(1, 1) @ a
 
 
+def test_pinned_warm_start_from_another_action(lq2_ocp):
+    # a pinned u_0 is data, like x_0: a warm start from the point of another
+    # action takes the new pin as it is, and only states and free inputs move
+    spec, phi = lq2_ocp
+    s = np.array([0.3, 0.9])
+    a = np.array([0.37])
+    _, kkt_other = mpc_qvalue(spec, phi, s, np.array([-0.8]))
+    q_warm, kkt = mpc_qvalue(spec, phi, s, a, warm_start=kkt_other)
+    q_cold, _ = mpc_qvalue(spec, phi, s, a)
+    assert kkt.z[spec.H * spec.n :][: spec.m].tobytes() == a.tobytes()
+    assert q_warm == pytest.approx(q_cold, abs=1e-10)
+    # the dynamics rows alone carry multipliers, pinned or free
+    _, kkt_free = mpc_policy(spec, phi, s)
+    assert kkt.lam.size == kkt_free.lam.size == spec.H * spec.n
+
+
 def test_kkt_certificate_fields(lq2_ocp):
     spec, phi = lq2_ocp
     kkt, report = solve_ocp(spec, phi, np.array([0.5, 0.5]))
@@ -438,14 +454,14 @@ def test_condensed_policy_jacobian_matches_full_space_solve(case, lq2, cstr_cfg)
         assert abs(a[0]) < 0.1
     st = solver._Stacker(spec, False)
     z, lam = kkt.z, kkt.lam
-    C, Hj = solver._jacobians(st, solver._eval_constraints(st, phi, z, s, None)[2])
+    C, Hj = solver._jacobians(st, solver._eval_constraints(st, phi, z, s)[2])
     G = np.vstack([C, Hj[kkt.active_set]])
     K = np.block([[solver._lagrangian_hessian(st, phi, z, s, lam), G.T],
                   [G, np.zeros((len(G), len(G)))]])
     E = np.zeros((len(K), spec.m))
     E[st.u_idx[0], np.arange(spec.m)] = 1.0
     Y = np.linalg.solve(K, E)
-    direction = (Y[: st.nz].T, Y[st.nz : st.nz + st.n_eq_rows].T)
+    direction = (Y[: st.nz].T, Y[st.nz : st.nz + st.n_dyn].T)
     want = -sensitivity._lagrangian_phi_grad(st, phi, z, s, lam, direction)
     res = jac_policy_wrt_params(spec, phi, kkt)
     assert res.regularity == "strict"
@@ -454,8 +470,8 @@ def test_condensed_policy_jacobian_matches_full_space_solve(case, lq2, cstr_cfg)
 
 @pytest.mark.parametrize("case", ["lq", "cstr"])
 def test_sqp_runs_no_rank_revealing_factorization(case, lq2, cstr_cfg, monkeypatch):
-    # the dynamics and pin rows are full rank by construction: condensing
-    # them needs triangular solves only, never an SVD, QR, rank or lstsq
+    # the dynamics rows are full rank by construction: condensing them
+    # needs triangular solves only, never an SVD, QR, rank or lstsq
     if case == "lq":
         A, B, Qc, Rc, gamma, P, K = lq2
         spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=50, gamma=gamma, u_lo=-1.0, u_hi=1.0)
