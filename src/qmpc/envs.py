@@ -5,20 +5,21 @@ The reactor follows the standard four-state benchmark model with states
 (c_A, c_B, T_R, T_K) — concentrations of species A and B, reactor and coolant
 temperatures — and inputs (F, Q_dot) — normalized feed flow and cooling power.
 All physical constants come from the experiment config; none live in code.
-Integration is fixed-step RK4 for bitwise reproducibility.  The RK4 kernel
-works on columns, a state's or input's trailing-axis entries: np.float64
-scalars for one state, equal-shape arrays for a batch, so one state costs
-scalar arithmetic and a batch one ufunc call per operation.  Every column sees
-the same operations in the same order, so a batch row equals its one-state
-call bit for bit; that is why each square is written as a product (on a
-scalar, ``** 2`` calls libm pow, which now and then rounds differently from
-the product an array's ``** 2`` computes).
+Integration is fixed-step RK4 for bitwise reproducibility.  One kernel serves
+every call: the states are stacked as (4, ...) so that each RK4 stage update
+costs one ufunc call per operation for the whole batch, and one state is the
+case where ... is empty and every column is an np.float64 scalar.  Every state
+sees the same operations in the same order, so a batch row equals its
+one-state call bit for bit; that is why each square is written as a product
+(on a scalar, ``** 2`` calls libm pow, which now and then rounds differently
+from the product an array's ``** 2`` computes).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,9 @@ class CSTRConfig:
         missing = [k for k in _CSTR_PARAMS if k not in self.ode_params]
         if missing:
             raise ValueError(f"missing reactor constants: {missing}")
+        # the kernel's constants divide by these on Python floats, where a zero raises
+        if not all(self.ode_params[k] > 0 for k in ("rho", "Cp", "V_R", "m_k", "Cp_k")):
+            raise ValueError("reactor constants rho, Cp, V_R, m_k and Cp_k must be positive")
         for name in ("state_lo", "state_hi", "input_lo", "input_hi", "w_move",
                      "reference_input", "x0_lo", "x0_hi"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -141,94 +145,131 @@ class CSTRConfig:
         if self.w_track < 0 or np.any(self.w_move < 0):
             raise ValueError("reward weights must be nonnegative")
 
+    @cached_property
+    def _rk4(self) -> tuple["_Constants", "_Constants"]:
+        """The RK4 kernel's constants: (one-state form, batch form)."""
+        h = self.dt / self.substeps
+        p = self.ode_params
+        return _Constants(p, h, batch=False), _Constants(p, h, batch=True)
 
-def _columns(v) -> tuple:
-    """v's trailing-axis entries: np.float64 scalars for one point, views for a batch."""
-    return tuple(np.moveaxis(np.asarray(v, dtype=float), -1, 0))
+
+class _Constants:
+    """The RK4 kernel's constants for one call kind, derived once per config
+    by the Python-float expressions the formulas would otherwise evaluate on
+    every call: Python floats for one state (np.float64 columns), 0-d float64
+    arrays for a batch.  Each form is the cheaper operand for its call kind.
+    """
+
+    def __init__(self, p: dict, h: float, batch: bool):
+        rcp, kwa, mcp = p["rho"] * p["Cp"], p["K_w"] * p["A_R"], p["m_k"] * p["Cp_k"]
+        rcpV = rcp * p["V_R"]
+        values = {k: p[k] for k in ("K0_ab", "K0_bc", "K0_ad", "E_A_ab", "E_A_bc", "E_A_ad",
+                                    "H_R_ab", "H_R_bc", "H_R_ad", "C_A0", "T_in")}
+        values.update(
+            T0=273.15,  # theta = T_R + T0, the reactor temperature in Kelvin
+            negE_ab=-p["E_A_ab"], negE_bc=-p["E_A_bc"], negE_ad=-p["E_A_ad"],
+            neg_rcp=-rcp, kwa=kwa, rcpV=rcpV, mcp=mcp,
+            kwr=kwa / rcpV, kwk=kwa / mcp, neg_kwk=-(kwa / mcp), inv_mcp=1.0 / mcp,
+            half_h=0.5 * h, h=h, h6=h / 6.0, two=2.0,
+        )
+        self.__dict__.update({k: np.array(v) for k, v in values.items()} if batch else values)
 
 
-def _rhs(p: dict, x: tuple, F, Qd):
-    """Reactor ODE at state columns x = (c_A, c_B, T_R, T_K) under inputs F, Qd:
-    the four derivative columns and the rates (theta, k1, k2, k3) there."""
+def _rhs(c: _Constants, x, u):
+    """Reactor ODE at state x = (c_A, c_B, T_R, T_K) under inputs u = (F, Qd):
+    the four derivatives and the rates (theta, k1, k2, k3) there."""
     c_A, c_B, T_R, T_K = x
-    theta = T_R + 273.15
-    k1 = p["K0_ab"] * np.exp(-p["E_A_ab"] / theta)
-    k2 = p["K0_bc"] * np.exp(-p["E_A_bc"] / theta)
-    k3 = p["K0_ad"] * np.exp(-p["E_A_ad"] / theta)
-    rcp = p["rho"] * p["Cp"]
-    kwa = p["K_w"] * p["A_R"]
+    F, Qd = u
+    theta = T_R + c.T0
+    k1 = c.K0_ab * np.exp(c.negE_ab / theta)
+    k2 = c.K0_bc * np.exp(c.negE_bc / theta)
+    k3 = c.K0_ad * np.exp(c.negE_ad / theta)
     k1cA, k2cB, k3cA2 = k1 * c_A, k2 * c_B, k3 * (c_A * c_A)
-    d_cA = F * (p["C_A0"] - c_A) - k1cA - k3cA2
+    d_cA = F * (c.C_A0 - c_A) - k1cA - k3cA2
     d_cB = -F * c_B + k1cA - k2cB
     d_TR = (
-        (k1cA * p["H_R_ab"] + k2cB * p["H_R_bc"] + k3cA2 * p["H_R_ad"]) / (-rcp)
-        + F * (p["T_in"] - T_R)
-        + kwa * (T_K - T_R) / (rcp * p["V_R"])
+        (k1cA * c.H_R_ab + k2cB * c.H_R_bc + k3cA2 * c.H_R_ad) / c.neg_rcp
+        + F * (c.T_in - T_R)
+        + c.kwa * (T_K - T_R) / c.rcpV
     )
-    d_TK = (Qd + kwa * (T_R - T_K)) / (p["m_k"] * p["Cp_k"])
+    d_TK = (Qd + c.kwa * (T_R - T_K)) / c.mcp
     return (d_cA, d_cB, d_TR, d_TK), (theta, k1, k2, k3)
 
 
-def _rhs_jac(p: dict, x: tuple, F, rates):
-    """(d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)) at state columns
-    x under flow F, from the rates :func:`_rhs` returned at the same point.
-    The state columns share one shape, as :func:`_columns` gives them."""
+def _rhs_jac(c: _Constants, x, u, rates):
+    """(d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)) at state x under
+    inputs u, from the rates :func:`_rhs` returned at the same point."""
     c_A, c_B, T_R, _ = x
+    F, _ = u
+    negF = -F
     theta, k1, k2, k3 = rates
     theta2 = theta * theta
-    dk1cA = k1 * p["E_A_ab"] / theta2 * c_A
-    dk2cB = k2 * p["E_A_bc"] / theta2 * c_B
-    dk3cA2 = k3 * p["E_A_ad"] / theta2 * (c_A * c_A)
-    two_k3cA = 2.0 * k3 * c_A
-    rcp = p["rho"] * p["Cp"]
-    kwr = p["K_w"] * p["A_R"] / (rcp * p["V_R"])
-    kwk = p["K_w"] * p["A_R"] / (p["m_k"] * p["Cp_k"])
-    j00 = -F - k1 - two_k3cA  # spans the batch: it reads F and the state columns
+    dk1cA = k1 * c.E_A_ab / theta2 * c_A
+    dk2cB = k2 * c.E_A_bc / theta2 * c_B
+    dk3cA2 = k3 * c.E_A_ad / theta2 * (c_A * c_A)
+    two_k3cA = c.two * k3 * c_A
+    j00 = negF - k1 - two_k3cA  # spans the batch: it reads F and the state
     Jx = np.zeros(np.shape(j00) + (4, 4))
     Jx[..., 0, 0] = j00
     Jx[..., 0, 2] = -(dk1cA + dk3cA2)
     Jx[..., 1, 0] = k1
-    Jx[..., 1, 1] = -F - k2
+    Jx[..., 1, 1] = negF - k2
     Jx[..., 1, 2] = dk1cA - dk2cB
-    Jx[..., 2, 0] = (k1 * p["H_R_ab"] + two_k3cA * p["H_R_ad"]) / (-rcp)
-    Jx[..., 2, 1] = k2 * p["H_R_bc"] / (-rcp)
+    Jx[..., 2, 0] = (k1 * c.H_R_ab + two_k3cA * c.H_R_ad) / c.neg_rcp
+    Jx[..., 2, 1] = k2 * c.H_R_bc / c.neg_rcp
     Jx[..., 2, 2] = (
-        (dk1cA * p["H_R_ab"] + dk2cB * p["H_R_bc"] + dk3cA2 * p["H_R_ad"]) / (-rcp) - F - kwr
+        (dk1cA * c.H_R_ab + dk2cB * c.H_R_bc + dk3cA2 * c.H_R_ad) / c.neg_rcp - F - c.kwr
     )
-    Jx[..., 2, 3] = kwr
-    Jx[..., 3, 2] = kwk
-    Jx[..., 3, 3] = -kwk
+    Jx[..., 2, 3] = c.kwr
+    Jx[..., 3, 2] = c.kwk
+    Jx[..., 3, 3] = c.neg_kwk
     Ju = np.zeros(Jx.shape[:-1] + (2,))
-    Ju[..., 0, 0] = p["C_A0"] - c_A
+    Ju[..., 0, 0] = c.C_A0 - c_A
     Ju[..., 1, 0] = -c_B
-    Ju[..., 2, 0] = p["T_in"] - T_R
-    Ju[..., 3, 1] = 1.0 / (p["m_k"] * p["Cp_k"])
+    Ju[..., 2, 0] = c.T_in - T_R
+    Ju[..., 3, 1] = c.inv_mcp
     return Jx, Ju
 
 
-def _rk4_substep(p: dict, x: tuple, F, Qd, h: float):
-    """One RK4 substep over state columns: the next columns, and the four
+def _rk4_substep(c: _Constants, x: np.ndarray, u, K: np.ndarray):
+    """One RK4 substep of a stacked (4, ...) state x, each stage's slopes
+    written into the preallocated (4, 4, ...) K: the next state, and the four
     stage points, each with the rates :func:`_rhs` found there."""
-    k1, r1 = _rhs(p, x, F, Qd)
-    x2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
-    k2, r2 = _rhs(p, x2, F, Qd)
-    x3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
-    k3, r3 = _rhs(p, x3, F, Qd)
-    x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
-    k4, r4 = _rhs(p, x4, F, Qd)
-    x_next = tuple(
-        xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    )
-    return x_next, ((x, r1), (x2, r2), (x3, r3), (x4, r4))
+    stages, xs = [], x
+    for k, w in zip(K, (c.half_h, c.half_h, c.h, None)):
+        rows, rates = _rhs(c, xs, u)
+        k[0], k[1], k[2], k[3] = rows
+        stages.append((xs, rates))
+        if w is not None:
+            xs = x + w * k
+    return x + c.h6 * (K[0] + c.two * K[1] + c.two * K[2] + K[3]), stages
+
+
+def _to_last(v: np.ndarray) -> np.ndarray:
+    """A stacked (k, ...) array's view as (..., k)."""
+    return v.transpose((*range(1, v.ndim), 0))
+
+
+def _stacked(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
+    """The kernel's inputs: the constants for its columns, states stacked as
+    (4, ...), inputs (F, Qd) and the (4, 4, ...) stage array, where ...
+    broadcasts the leading axes of s and a (and is empty for one state: then
+    the columns are np.float64 scalars, and the one-state constants serve)."""
+    lead = np.broadcast(s[..., 0], a[..., 0]).shape
+    x, U = np.empty((4,) + lead), np.empty((2,) + lead)
+    _to_last(x)[...] = s
+    _to_last(U)[...] = a
+    F, Qd = U
+    one, batch = cfg._rk4
+    return batch if lead else one, x, (F, Qd), np.empty((4, 4) + lead)
 
 
 def cstr_discrete(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """State after one control interval dt (substep-subdivided RK4); batched."""
-    h = cfg.dt / cfg.substeps
-    x, (F, Qd) = _columns(s), _columns(a)
+    c, x, u, K = _stacked(cfg, np.asarray(s, dtype=float), np.asarray(a, dtype=float))
     for _ in range(cfg.substeps):
-        x, _ = _rk4_substep(cfg.ode_params, x, F, Qd, h)
-    return np.stack(x, axis=-1)
+        x, _ = _rk4_substep(c, x, u, K)
+    return _to_last(x).copy()
 
 
 def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
@@ -239,13 +280,12 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
     x_next equals :func:`cstr_discrete` bit for bit.
     """
     h = cfg.dt / cfg.substeps
-    p = cfg.ode_params
-    x, (F, Qd) = _columns(s), _columns(a)
+    c, x, u, K = _stacked(cfg, np.asarray(s, dtype=float), np.asarray(a, dtype=float))
     eye = np.eye(4)
     Jx_tot, Ju_tot = eye, np.zeros((4, 2))  # the batch axes arrive via Sx
     for _ in range(cfg.substeps):
-        x, stages = _rk4_substep(p, x, F, Qd, h)
-        (A1, B1), (A2, B2), (A3, B3), (A4, B4) = (_rhs_jac(p, xs, F, r) for xs, r in stages)
+        x, stages = _rk4_substep(c, x, u, K)
+        (A1, B1), (A2, B2), (A3, B3), (A4, B4) = (_rhs_jac(c, xs, u, r) for xs, r in stages)
         # stagewise chain rule for dk_i/dx and dk_i/du
         D1x, D1u = A1, B1
         D2x = A2 @ (eye + 0.5 * h * D1x)
@@ -258,7 +298,7 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
         Su = (h / 6.0) * (D1u + 2 * D2u + 2 * D3u + D4u)
         Ju_tot = Sx @ Ju_tot + Su
         Jx_tot = Sx @ Jx_tot
-    return np.stack(x, axis=-1), Jx_tot, Ju_tot
+    return _to_last(x).copy(), Jx_tot, Ju_tot
 
 
 def cstr_step(

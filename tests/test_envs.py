@@ -1,5 +1,7 @@
 """LQ and reactor environments: dynamics, rewards, constraint accounting."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from qmpc.envs import (
     cstr_step,
     lq_step,
 )
-from qmpc.errors import DimensionError
+from qmpc.errors import DimensionError, DivergenceError
 from qmpc.mdp import Trajectory, Transition
 from qmpc.ocp import validate_spec
 from tests.conftest import CSTR_ODE_PARAMS, make_cstr_config
@@ -27,13 +29,38 @@ X_SS = np.array([0.783494349355, 0.653086065773, 139.99139068651, 138.7068991767
 
 def rhs(s, a):
     """The reactor kernel's ODE right-hand side at states s under inputs a."""
-    return np.stack(envs._rhs(CSTR_ODE_PARAMS, envs._columns(s), *envs._columns(a))[0], axis=-1)
+    c, x, u, _ = envs._stacked(make_cstr_config(), np.asarray(s, float), np.asarray(a, float))
+    return np.stack(envs._rhs(c, x, u)[0], axis=-1)
 
 
 def rhs_jac(s, a):
     """The reactor kernel's (d rhs/d state, d rhs/d input) at s under a."""
-    x, (F, Qd) = envs._columns(s), envs._columns(a)
-    return envs._rhs_jac(CSTR_ODE_PARAMS, x, F, envs._rhs(CSTR_ODE_PARAMS, x, F, Qd)[1])
+    c, x, u, _ = envs._stacked(make_cstr_config(), np.asarray(s, float), np.asarray(a, float))
+    return envs._rhs_jac(c, x, u, envs._rhs(c, x, u)[1])
+
+
+def action_grid(cfg, points=5):
+    """The points x points input grid greedy_value_action searches."""
+    axes = np.linspace(cfg.input_lo, cfg.input_hi, points)
+    return np.array([[f, q] for f in axes[:, 0] for q in axes[:, 1]])
+
+
+def kernel_probes(cfg):
+    """(X, U): 400 random states around the state box under random inputs;
+    (Xp, Up): states whose c_A and theta = T_R + 273.15 square differently
+    under pow than as a product (float_power calls the same pow per entry)."""
+    rng = np.random.default_rng(11)
+    span = cfg.state_hi - cfg.state_lo
+    X = rng.uniform(cfg.state_lo - 0.25 * span, cfg.state_hi + 0.25 * span, size=(400, 4))
+    U = rng.uniform(cfg.input_lo, cfg.input_hi, size=(400, 2))
+
+    def pow_sensitive(v, shift=0.0):
+        return v[np.float_power(v + shift, 2) != (v + shift) * (v + shift)]
+
+    c_A = pow_sensitive(rng.uniform(cfg.state_lo[0], cfg.state_hi[0], 400_000))
+    T_R = pow_sensitive(rng.uniform(cfg.state_lo[2], cfg.state_hi[2], 400_000), 273.15)
+    k = min(len(c_A), len(T_R), 200)
+    return X, U, np.column_stack([c_A[:k], X[:k, 1], T_R[:k], X[:k, 3]]), U[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +224,7 @@ def test_reactor_kernel_is_batch_invariant_bit_for_bit():
     # which round differently now and then; written as a product, every
     # column sees the same operations in the same order.
     cfg = make_cstr_config()
-    rng = np.random.default_rng(11)
-    span = cfg.state_hi - cfg.state_lo
-    X = rng.uniform(cfg.state_lo - 0.25 * span, cfg.state_hi + 0.25 * span, size=(400, 4))
-    U = rng.uniform(cfg.input_lo, cfg.input_hi, size=(400, 2))
+    X, U, Xp, Up = kernel_probes(cfg)
     np.testing.assert_array_equal(
         cstr_discrete(cfg, X, U), np.array([cstr_discrete(cfg, x, u) for x, u in zip(X, U)])
     )
@@ -209,30 +233,21 @@ def test_reactor_kernel_is_batch_invariant_bit_for_bit():
         for got, want in zip((F[k], Jx[k], Ju[k]), cstr_discrete_jac(cfg, X[k], U[k])):
             np.testing.assert_array_equal(got, want)
     # one state against the action grid, as greedy_value_action asks
-    points = np.linspace(cfg.input_lo, cfg.input_hi, 5)
-    grid = np.array([[f, q] for f in points[:, 0] for q in points[:, 1]])
+    grid = action_grid(cfg)
     for x in X[:40]:
         np.testing.assert_array_equal(
             cstr_discrete(cfg, x, grid), np.array([cstr_discrete(cfg, x, a) for a in grid])
         )
     # Random states rarely meet a square that pow rounds differently, and the
     # rates damp a one-ulp change; so also probe the right-hand side at states
-    # whose c_A and theta = T_R + 273.15 square differently under pow
-    # (float_power calls the same pow per entry)
-    def pow_sensitive(v, shift=0.0):
-        return v[np.float_power(v + shift, 2) != (v + shift) * (v + shift)]
-
-    c_A = pow_sensitive(rng.uniform(cfg.state_lo[0], cfg.state_hi[0], 400_000))
-    T_R = pow_sensitive(rng.uniform(cfg.state_lo[2], cfg.state_hi[2], 400_000), 273.15)
-    k = min(len(c_A), len(T_R), 200)
-    X, U = np.column_stack([c_A[:k], X[:k, 1], T_R[:k], X[:k, 3]]), U[:k]
+    # whose c_A and theta square differently under pow
     np.testing.assert_array_equal(
-        rhs(X, U),
-        np.array([rhs(x, u) for x, u in zip(X, U)]),
+        rhs(Xp, Up),
+        np.array([rhs(x, u) for x, u in zip(Xp, Up)]),
     )
-    Jx, Ju = rhs_jac(X, U)
-    for i in range(k):
-        for got, want in zip((Jx[i], Ju[i]), rhs_jac(X[i], U[i])):
+    Jx, Ju = rhs_jac(Xp, Up)
+    for i in range(len(Xp)):
+        for got, want in zip((Jx[i], Ju[i]), rhs_jac(Xp[i], Up[i])):
             np.testing.assert_array_equal(got, want)
 
 
@@ -248,6 +263,189 @@ def test_batched_rhs_jac_matches_per_state():
             Jxk, Juk = rhs_jac(X[i, k], U[k])
             np.testing.assert_array_equal(Jx[i, k], Jxk)
             np.testing.assert_array_equal(Ju[i, k], Juk)
+
+
+# ---------------------------------------------------------------------------
+# the reactor kernel against a frozen copy of the column kernel it replaced,
+# which ran every column on np.float64 scalars or arrays and read each
+# constant from ode_params on every call
+
+
+def _ref_columns(v) -> tuple:
+    """v's trailing-axis entries: np.float64 scalars for one point, views for a batch."""
+    return tuple(np.moveaxis(np.asarray(v, dtype=float), -1, 0))
+
+
+def _ref_rhs(p: dict, x: tuple, F, Qd):
+    """Reactor ODE at state columns x = (c_A, c_B, T_R, T_K) under inputs F, Qd:
+    the four derivative columns and the rates (theta, k1, k2, k3) there."""
+    c_A, c_B, T_R, T_K = x
+    theta = T_R + 273.15
+    k1 = p["K0_ab"] * np.exp(-p["E_A_ab"] / theta)
+    k2 = p["K0_bc"] * np.exp(-p["E_A_bc"] / theta)
+    k3 = p["K0_ad"] * np.exp(-p["E_A_ad"] / theta)
+    rcp = p["rho"] * p["Cp"]
+    kwa = p["K_w"] * p["A_R"]
+    k1cA, k2cB, k3cA2 = k1 * c_A, k2 * c_B, k3 * (c_A * c_A)
+    d_cA = F * (p["C_A0"] - c_A) - k1cA - k3cA2
+    d_cB = -F * c_B + k1cA - k2cB
+    d_TR = (
+        (k1cA * p["H_R_ab"] + k2cB * p["H_R_bc"] + k3cA2 * p["H_R_ad"]) / (-rcp)
+        + F * (p["T_in"] - T_R)
+        + kwa * (T_K - T_R) / (rcp * p["V_R"])
+    )
+    d_TK = (Qd + kwa * (T_R - T_K)) / (p["m_k"] * p["Cp_k"])
+    return (d_cA, d_cB, d_TR, d_TK), (theta, k1, k2, k3)
+
+
+def _ref_rhs_jac(p: dict, x: tuple, F, rates):
+    """(d rhs/d state (..., 4, 4), d rhs/d input (..., 4, 2)) at state columns
+    x under flow F, from the rates :func:`_ref_rhs` returned at the same point.
+    The state columns share one shape, as :func:`_ref_columns` gives them."""
+    c_A, c_B, T_R, _ = x
+    theta, k1, k2, k3 = rates
+    theta2 = theta * theta
+    dk1cA = k1 * p["E_A_ab"] / theta2 * c_A
+    dk2cB = k2 * p["E_A_bc"] / theta2 * c_B
+    dk3cA2 = k3 * p["E_A_ad"] / theta2 * (c_A * c_A)
+    two_k3cA = 2.0 * k3 * c_A
+    rcp = p["rho"] * p["Cp"]
+    kwr = p["K_w"] * p["A_R"] / (rcp * p["V_R"])
+    kwk = p["K_w"] * p["A_R"] / (p["m_k"] * p["Cp_k"])
+    j00 = -F - k1 - two_k3cA  # spans the batch: it reads F and the state columns
+    Jx = np.zeros(np.shape(j00) + (4, 4))
+    Jx[..., 0, 0] = j00
+    Jx[..., 0, 2] = -(dk1cA + dk3cA2)
+    Jx[..., 1, 0] = k1
+    Jx[..., 1, 1] = -F - k2
+    Jx[..., 1, 2] = dk1cA - dk2cB
+    Jx[..., 2, 0] = (k1 * p["H_R_ab"] + two_k3cA * p["H_R_ad"]) / (-rcp)
+    Jx[..., 2, 1] = k2 * p["H_R_bc"] / (-rcp)
+    Jx[..., 2, 2] = (
+        (dk1cA * p["H_R_ab"] + dk2cB * p["H_R_bc"] + dk3cA2 * p["H_R_ad"]) / (-rcp) - F - kwr
+    )
+    Jx[..., 2, 3] = kwr
+    Jx[..., 3, 2] = kwk
+    Jx[..., 3, 3] = -kwk
+    Ju = np.zeros(Jx.shape[:-1] + (2,))
+    Ju[..., 0, 0] = p["C_A0"] - c_A
+    Ju[..., 1, 0] = -c_B
+    Ju[..., 2, 0] = p["T_in"] - T_R
+    Ju[..., 3, 1] = 1.0 / (p["m_k"] * p["Cp_k"])
+    return Jx, Ju
+
+
+def _ref_rk4_substep(p: dict, x: tuple, F, Qd, h: float):
+    """One RK4 substep over state columns: the next columns, and the four
+    stage points, each with the rates :func:`_ref_rhs` found there."""
+    k1, r1 = _ref_rhs(p, x, F, Qd)
+    x2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
+    k2, r2 = _ref_rhs(p, x2, F, Qd)
+    x3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
+    k3, r3 = _ref_rhs(p, x3, F, Qd)
+    x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
+    k4, r4 = _ref_rhs(p, x4, F, Qd)
+    x_next = tuple(
+        xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    )
+    return x_next, ((x, r1), (x2, r2), (x3, r3), (x4, r4))
+
+
+def ref_cstr_discrete(cfg, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """State after one control interval dt (substep-subdivided RK4); batched."""
+    h = cfg.dt / cfg.substeps
+    x, (F, Qd) = _ref_columns(s), _ref_columns(a)
+    for _ in range(cfg.substeps):
+        x, _ = _ref_rk4_substep(cfg.ode_params, x, F, Qd, h)
+    return np.stack(x, axis=-1)
+
+
+def ref_cstr_discrete_jac(cfg, s: np.ndarray, a: np.ndarray):
+    """State after one control interval and its Jacobians, from one RK4 pass.
+
+    Returns (x_next (..., 4), d x_next/d s (..., 4, 4), d x_next/d a (..., 4, 2)),
+    chaining the RK4 stage derivatives; broadcasts over leading batch axes.
+    x_next equals :func:`ref_cstr_discrete` bit for bit.
+    """
+    h = cfg.dt / cfg.substeps
+    p = cfg.ode_params
+    x, (F, Qd) = _ref_columns(s), _ref_columns(a)
+    eye = np.eye(4)
+    Jx_tot, Ju_tot = eye, np.zeros((4, 2))  # the batch axes arrive via Sx
+    for _ in range(cfg.substeps):
+        x, stages = _ref_rk4_substep(p, x, F, Qd, h)
+        (A1, B1), (A2, B2), (A3, B3), (A4, B4) = (_ref_rhs_jac(p, xs, F, r) for xs, r in stages)
+        # stagewise chain rule for dk_i/dx and dk_i/du
+        D1x, D1u = A1, B1
+        D2x = A2 @ (eye + 0.5 * h * D1x)
+        D2u = B2 + A2 @ (0.5 * h * D1u)
+        D3x = A3 @ (eye + 0.5 * h * D2x)
+        D3u = B3 + A3 @ (0.5 * h * D2u)
+        D4x = A4 @ (eye + h * D3x)
+        D4u = B4 + A4 @ (h * D3u)
+        Sx = eye + (h / 6.0) * (D1x + 2 * D2x + 2 * D3x + D4x)
+        Su = (h / 6.0) * (D1u + 2 * D2u + 2 * D3u + D4u)
+        Ju_tot = Sx @ Ju_tot + Su
+        Jx_tot = Sx @ Jx_tot
+    return np.stack(x, axis=-1), Jx_tot, Ju_tot
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def test_reactor_kernel_matches_frozen_reference_bit_for_bit():
+    cfg = make_cstr_config()
+    X, U, Xp, Up = kernel_probes(cfg)
+    edge = np.array([
+        [0.5, 0.5, -273.15, 100.0],  # theta = 0: -E_A / theta = -inf, and exp(-inf) = 0
+        [np.nan, 0.5, 130.0, 120.0],
+        [0.0, 0.0, 130.0, 120.0],
+    ])
+    cases = [
+        (X[0], U[0]),  # one state
+        *((x, action_grid(cfg)) for x in X[:10]),  # the greedy 5x5 action grid
+        (X[:5], U[:5]),  # an H=5 horizon
+        (X[:6].reshape(2, 3, 4), U[:3]),  # two leading axes, inputs broadcast
+        (Xp, Up), *zip(Xp[:20], Up[:20]),
+        (edge, U[:3]), *zip(edge, U[:3]),
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, a in cases:
+            assert_same_bits(cstr_discrete(cfg, s, a), ref_cstr_discrete(cfg, s, a))
+            for got, want in zip(cstr_discrete_jac(cfg, s, a), ref_cstr_discrete_jac(cfg, s, a)):
+                assert_same_bits(got, want)
+
+
+def test_step_clips_negative_concentrations_to_zero(caplog):
+    cfg = make_cstr_config()
+    s, a = np.array([-0.01, -0.01, 130.0, 130.0]), np.array([0.0, -4500.0])
+    raw = cstr_discrete(cfg, s, a)
+    assert raw[0] < 0.0 and raw[1] < 0.0
+    with caplog.at_level(logging.INFO, logger="qmpc.envs"):
+        _, s_next = cstr_step(cfg, s, a, cfg.reference_input)
+    np.testing.assert_array_equal(s_next, [0.0, 0.0, raw[2], raw[3]])
+    assert "clipped negative concentration" in caplog.text
+
+
+def test_step_raises_divergence_on_non_finite_successor():
+    cfg = make_cstr_config()
+    s, a = np.array([0.8, 0.4, 1e4, 130.0]), np.array([18.0, -4500.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        cstr_step(cfg, s, a, cfg.reference_input)
+
+
+def test_step_at_theta_zero_returns_the_frozen_reference_state():
+    # numpy divides -E_A by theta = 0 to -inf where Python floats would raise
+    # ZeroDivisionError; the reactor then heats away from absolute zero
+    cfg = make_cstr_config()
+    s, a = np.array([0.5, 0.5, -273.15, 100.0]), np.array([18.0, -4500.0])
+    with np.errstate(divide="ignore"):
+        _, s_next = cstr_step(cfg, s, a, cfg.reference_input)
+        want = ref_cstr_discrete(cfg, s, a)
+    assert np.all(np.isfinite(s_next))
+    assert_same_bits(s_next, want)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +511,8 @@ def test_cstr_ocp_rejects_wrong_weight_length(cstr_cfg):
 def test_cstr_config_validation():
     with pytest.raises(ValueError, match="missing reactor constants"):
         make_cstr_config(ode_params={"rho": 0.9342})
+    with pytest.raises(ValueError, match="must be positive"):
+        make_cstr_config(ode_params={**CSTR_ODE_PARAMS, "V_R": 0.0})
     with pytest.raises(ValueError, match="dt"):
         make_cstr_config(dt=0.0)
     with pytest.raises(DimensionError, match="state box"):
