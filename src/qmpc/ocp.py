@@ -16,6 +16,7 @@ objective is a cost: smaller is better.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -193,10 +194,18 @@ class OCPSpec:
             raise ValueError("n_ineq == 0 leaves no rows for ineq_jac")
 
     def stage_weights(self) -> tuple[np.ndarray, float]:
-        """(w_0..w_{H-1}, w_H): gamma powers, or all ones when discounting is off."""
+        """(w_0..w_{H-1}, w_H): gamma powers, or all ones when discounting is
+        off.  Computed once per spec; the array is read-only."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, float]:
         if self.discount_in_horizon:
-            return self.gamma ** np.arange(self.H), self.gamma**self.H
-        return np.ones(self.H), 1.0
+            w, wH = self.gamma ** np.arange(self.H), self.gamma**self.H
+        else:
+            w, wH = np.ones(self.H), 1.0
+        w.flags.writeable = False
+        return w, wH
 
 
 def _tile(batch: tuple, *blocks) -> tuple:
@@ -266,14 +275,11 @@ def build_lq_ocp(
     p = phi0.size
     sl = {name: slice(*phi0.layout[name]) for name in phi0.layout}
 
-    def mats(pv):
-        return (
-            pv.phi[sl["A"]].reshape(n, n),
-            pv.phi[sl["B"]].reshape(n, m),
-            pv.phi[sl["Q"]].reshape(n, n),
-            pv.phi[sl["R"]].reshape(m, m),
-            pv.phi[sl["P"]].reshape(n, n),
-        )
+    shape = {"A": (n, n), "B": (n, m), "Q": (n, n), "R": (m, m), "P": (n, n)}
+
+    def mat(pv, name):
+        """One matrix, read back from the parameter vector."""
+        return pv.phi[sl[name]].reshape(shape[name])
 
     # stacked matrix products round every stage exactly as x @ Q @ x and S @ x
     # do for one stage, which X @ S.T, einsum and elementwise sums do not, so
@@ -282,15 +288,15 @@ def build_lq_ocp(
         return ((v[..., None, :] @ W) @ v[..., :, None])[..., 0, 0]
 
     def stage_cost(x, u, pv):
-        _, _, Q, R, _ = mats(pv)
+        Q, R = mat(pv, "Q"), mat(pv, "R")
         return quad(x, Q) + quad(u, R)
 
     def stage_grad(x, u, pv):
-        _, _, Q, R, _ = mats(pv)
+        Q, R = mat(pv, "Q"), mat(pv, "R")
         return _matvec(Q + Q.T, x), _matvec(R + R.T, u)
 
     def stage_hess(x, u, pv):
-        _, _, Q, R, _ = mats(pv)
+        Q, R = mat(pv, "Q"), mat(pv, "R")
         return _tile(x.shape[:-1], Q + Q.T, np.zeros((n, m)), R + R.T)
 
     def vec(**blocks):
@@ -309,15 +315,15 @@ def build_lq_ocp(
         return vec(Q=_outer(dx, x) + _outer(x, dx), R=_outer(du, u) + _outer(u, du))
 
     def terminal_cost(x, pv):
-        P = mats(pv)[4]
+        P = mat(pv, "P")
         return float(x @ P @ x)
 
     def terminal_grad(x, pv):
-        P = mats(pv)[4]
+        P = mat(pv, "P")
         return (P + P.T) @ x
 
     def terminal_hess(x, pv):
-        P = mats(pv)[4]
+        P = mat(pv, "P")
         return P + P.T
 
     def terminal_phi(x, pv):
@@ -327,12 +333,11 @@ def build_lq_ocp(
         return vec(P=_outer(dx, x) + _outer(x, dx))
 
     def dynamics(x, u, pv):
-        Am, Bm = mats(pv)[:2]
-        return _matvec(Am, x) + _matvec(Bm, u)
+        return _matvec(mat(pv, "A"), x) + _matvec(mat(pv, "B"), u)
 
     def dynamics_jac(x, u, pv):
-        Am, Bm = mats(pv)[:2]
-        F = dynamics(x, u, pv)
+        Am, Bm = mat(pv, "A"), mat(pv, "B")
+        F = _matvec(Am, x) + _matvec(Bm, u)
         return (F, *_tile(F.shape[:-1], Am, Bm))
 
     def dynamics_phi_vp(x, u, pv, lam):

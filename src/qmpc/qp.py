@@ -8,7 +8,9 @@ with the sign convention that stationarity reads
 The QP has inequality rows only: the SQP eliminates its equality rows (the
 dynamics) by condensing before it calls here.  H must be positive definite
 (the SQP certifies it by the same Cholesky test), so every working set of
-independent rows has a nonsingular KKT matrix.
+independent rows has a nonsingular KKT matrix.  Without a live row (none,
+or only all-zero ones) the QP is its Cholesky test and one solve of H x = -g,
+which takes no bordered matrix.
 
 The working set is iterated in the classic primal fashion: take the step that
 solves the current equality-constrained subproblem, cut it at the first
@@ -54,21 +56,25 @@ class QPSolution:
 def _solve_kkt(H, A, g, b):
     """Solve [H A'; A 0][x; y] = [-g; b] for g (nz,) or k columns (nz, k), b
     broadcast; returns (x, y, residual relative to 1 + max|rhs|).  A singular
-    matrix gives the least-squares solution and residual inf."""
+    matrix gives the least-squares solution and residual inf.  Without rows
+    the system is H x = -g itself, solved without the bordered copy."""
     nz = H.shape[0]
     nc = A.shape[0]
-    K = np.zeros((nz + nc, nz + nc))
-    K[:nz, :nz] = H
-    K[:nz, nz:] = A.T
-    K[nz:, :nz] = A
-    rhs = np.concatenate([-g, np.broadcast_to(b, (nc,) + np.shape(g)[1:])])
+    if nc:
+        K = np.zeros((nz + nc, nz + nc))
+        K[:nz, :nz] = H
+        K[:nz, nz:] = A.T
+        K[nz:, :nz] = A
+        rhs = np.concatenate([-g, np.broadcast_to(b, (nc,) + np.shape(g)[1:])])
+    else:
+        K, rhs = H, -g
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         return sol[:nz], sol[nz:], np.inf
-    resid = float(np.max(np.abs(K @ sol - rhs)))
-    return sol[:nz], sol[nz:], resid / (1.0 + float(np.max(np.abs(rhs))))
+    resid = float(np.abs(K @ sol - rhs).max())
+    return sol[:nz], sol[nz:], resid / (1.0 + float(np.abs(rhs).max()))
 
 
 def _phase1_point(Aineq, bineq):
@@ -129,7 +135,7 @@ def qp_solve(
     # Degenerate all-zero rows carry no direction; they are either trivially
     # satisfiable or certify infeasibility outright.
     live = np.linalg.norm(Ain, axis=1) >= ZERO_ROW_TOL
-    if np.any(bin_[~live] < -FEAS_TOL):
+    if (bin_[~live] < -FEAS_TOL).any():
         return fail("infeasible")
 
     if nz == 0:
@@ -160,11 +166,12 @@ def qp_solve(
                 work = warm
     if x is None:
         x_free, _, resid = _solve_kkt(H, np.zeros((0, nz)), g, np.zeros(0))
-        if resid <= 1e3 * FEAS_TOL and np.all(np.isfinite(x_free)) and feasible(x_free):
-            x = x_free
+        if resid <= 1e3 * FEAS_TOL and np.isfinite(x_free).all():
             if not live.any():
                 # no row can block or leave: the free optimum is the solution
-                return QPSolution(x, np.zeros(n_in), np.zeros(0, dtype=int), "converged", 0)
+                return QPSolution(x_free, np.zeros(n_in), np.zeros(0, dtype=int), "converged", 0)
+            if feasible(x_free):
+                x = x_free
     if x is None:
         # without rows the free solve itself failed, and so will the first pivot
         x = _phase1_point(Ain[live], bin_[live]) if live.any() else np.zeros(nz)

@@ -13,7 +13,9 @@ when u_0 is pinned).  The active-set QP in v, on the (regularized) Lagrangian
 Hessian reduced by Z, carries the inequality rows only; the multipliers of
 the dynamics rows follow from stationarity by one transposed triangular
 solve.  A backtracking line search on an l1 merit function globalizes the
-step.
+step.  Its unit step is evaluated with the gradient and the stage Jacobians,
+so an accepted unit step hands the next iterate its evaluation and each
+iterate is evaluated once; a backtracked trial evaluates values only.
 
 Solving with a pinned first input prices Q(s, a); the free solve returns the
 receding-horizon policy action u*_0 and its plan.  Both values are costs
@@ -34,6 +36,7 @@ from .qp import qp_solve
 SIGMA0 = 1e-8  # first Hessian shift tried by the regularization
 ARMIJO_C1 = 1e-4  # sufficient-decrease fraction of the line search
 RHO_FACTOR = 2.0  # merit penalty over the largest multiplier
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -116,49 +119,42 @@ def _blocks(rows: np.ndarray, cols: np.ndarray):
     return rows[:, :, None], cols[:, None, :]
 
 
-def _eval_objective(st: _Stacker, phi, z, s, with_grad=True):
-    """Objective at z and, with ``with_grad``, its gradient (else None)."""
+def _evaluate(st: _Stacker, phi, z, s, derivatives=True):
+    """(F, grad, c, h, jac) at z: the objective F, the values c, h of the
+    dynamics and inequality rows and, with ``derivatives``, the gradient of F
+    and the stage Jacobian blocks (fx, fu, hx, hu) (else both None).  Each
+    stage callback is called once, on all H stages."""
     spec = st.spec
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
-    us = st.inputs(z)
+    X, us = xs[:-1], st.inputs(z)
     # builtin sum adds the stages in order, whatever the horizon
-    F = sum(w * spec.stage_cost(xs[:-1], us, phi))
+    F = sum(w * spec.stage_cost(X, us, phi))
     F += wH * spec.terminal_cost(xs[spec.H], phi)
-    if not with_grad:
-        return float(F), None
-    lx, lu = spec.stage_grad(xs[:-1], us, phi)
-    grad = np.zeros(st.nz)
-    grad[st.x_idx[:-1]] += w[1:, None] * lx[1:]
-    grad[st.u_idx] += w[:, None] * lu
-    grad[st.x_idx[-1]] += wH * spec.terminal_grad(xs[spec.H], phi)
-    return float(F), grad
-
-
-def _eval_constraints(st: _Stacker, phi, z, s, with_jac=True):
-    """Values c, h of the dynamics and inequality rows at z and, with
-    ``with_jac``, the stage Jacobian blocks (fx, fu, hx, hu) (else None).
-    Each stage callback is called once, on all H stages."""
-    spec = st.spec
-    xs = st.states(z, s)
-    us = st.inputs(z)
-    if with_jac:
-        f, fx, fu = spec.dynamics_jac(xs[:-1], us, phi)
+    grad = jac = None
+    if derivatives:
+        lx, lu = spec.stage_grad(X, us, phi)
+        # z holds x_1..x_H, then u_0..u_{H-1}; adding 0.0 turns -0.0 into
+        # +0.0, as accumulating into zeros does
+        grad = 0.0 + np.concatenate([(w[1:, None] * lx[1:]).ravel(),
+                                     wH * spec.terminal_grad(xs[spec.H], phi),
+                                     (w[:, None] * lu).ravel()])
+        f, fx, fu = spec.dynamics_jac(X, us, phi)
     else:
-        f = spec.dynamics(xs[:-1], us, phi)
+        f = spec.dynamics(X, us, phi)
     c = (xs[1:] - f).ravel()
-    h = spec.ineq_constraints(xs[:-1], us, phi).ravel() if spec.n_ineq else np.zeros(0)
-    if not with_jac:
-        return c, h, None
-    return c, h, (fx, fu) + (spec.ineq_jac(xs[:-1], us, phi) if spec.n_ineq else (None, None))
+    h = spec.ineq_constraints(X, us, phi).ravel() if spec.n_ineq else np.zeros(0)
+    if derivatives:
+        jac = (fx, fu) + (spec.ineq_jac(X, us, phi) if spec.n_ineq else (None, None))
+    return float(F), grad, c, h, jac
 
 
 def _jacobians(st: _Stacker, jac):
     """Jacobians C of the dynamics rows and Hj of the inequality rows,
-    assembled from the stage blocks (fx, fu, hx, hu) of _eval_constraints."""
+    assembled from the stage blocks (fx, fu, hx, hu) of _evaluate."""
     fx, fu, hx, hu = jac
     C = np.zeros((st.n_dyn, st.nz))
-    C[:, : st.n_dyn] = np.eye(st.n_dyn)
+    C.flat[:: st.nz + 1] = 1.0  # the identity on the state columns
     C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
     C[_blocks(st.x_idx, st.u_idx)] = -fu
     Hj = np.zeros((st.n_in_rows, st.nz))
@@ -206,9 +202,10 @@ def _null_space(st: _Stacker, C):
     """Null-space basis Z = [-C_x^-1 C_u; I] of the dynamics rows C over the
     free inputs (u_1.. when u_0 is pinned), by forward substitution."""
     n_dyn, free = st.n_dyn, st.free
-    Z = np.zeros((st.nz, st.nz - free))
+    nv = st.nz - free
+    Z = np.zeros((st.nz, nv))
     Z[:n_dyn] = -_forward(C[:, :n_dyn], C[:, free:])
-    Z[free:] = np.eye(st.nz - free)
+    Z.flat[free * nv :: nv + 1] = 1.0  # the identity on the free inputs
     return Z
 
 
@@ -242,26 +239,26 @@ def _regularize(HL, Z):
         Ms = 0.5 * (Ms + Ms.T)
         try:
             np.linalg.cholesky(Ms)
-            return HL + sigma * np.eye(HL.shape[0]), Ms, sigma
+            return HL + (sigma * np.eye(HL.shape[0]) if sigma else 0.0), Ms, sigma
         except np.linalg.LinAlgError:
             sigma = SIGMA0 if sigma == 0.0 else 2.0 * sigma
     raise DivergenceError("Hessian regularization failed to reach positive definiteness")
 
 
 def _merit(F, c, h, rho):
-    viol = np.sum(np.abs(c)) + np.sum(np.maximum(h, 0.0))
+    viol = np.abs(c).sum() + np.maximum(h, 0.0).sum()
     return F + rho * viol, viol
 
 
 def _kkt_residual(st: _Stacker, grad, c, h, C, Hj, lam, mu):
     stat = grad + C.T @ lam + (Hj.T @ mu if mu.size else 0.0)
     stat[st.n_dyn : st.free] = 0.0  # a pinned u_0 is data, not a decision
-    parts = [np.max(np.abs(stat)) if stat.size else 0.0]
-    parts.append(np.max(np.abs(c)) if c.size else 0.0)
+    parts = [np.abs(stat).max() if stat.size else 0.0]
+    parts.append(np.abs(c).max() if c.size else 0.0)
     if h.size:
-        parts.append(float(np.max(np.maximum(h, 0.0))))
-        parts.append(float(np.max(np.abs(mu * h))))
-        parts.append(float(max(0.0, -np.min(mu))))
+        parts.append(float(np.maximum(h, 0.0).max()))
+        parts.append(float(np.abs(mu * h).max()))
+        parts.append(float(max(0.0, -mu.min())))
     return float(max(parts))
 
 
@@ -299,6 +296,12 @@ def solve_ocp(
 ) -> tuple[KKTPoint | None, SolveReport]:
     """Solve the OCP from state ``s``; pin the first input to price Q(s, a).
 
+    Each iterate is evaluated once: the line search evaluates its unit step
+    with derivatives, and when that step is accepted its (F, grad, c, h,
+    jac) is the next iterate's evaluation, which the finiteness checks then
+    read as if it were fresh.  After a backtracked step the next iterate is
+    evaluated anew.
+
     Returns (kkt, report).  kkt is None when the QP finds the linearized
     problem infeasible, or when an iterate, its objective, gradient,
     constraint values or stage Jacobians are not finite (status "diverged").
@@ -331,12 +334,12 @@ def solve_ocp(
 
     rho = 1.0
     best = None  # (residual, kkt_point)
+    ev = None  # the evaluation of z, when the line search made it
 
     for it in range(cfg.max_sqp_iters + 1):
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             return None, SolveReport("diverged", it, np.inf)
-        F, grad = _eval_objective(st, phi, z, s)
-        c, h, jac = _eval_constraints(st, phi, z, s)
+        F, grad, c, h, jac = _evaluate(st, phi, z, s) if ev is None else ev
         finite = (np.isfinite(a).all() for a in (grad, c, h, *jac) if a is not None)
         if not (np.isfinite(F) and all(finite)):
             return None, SolveReport("diverged", it, np.inf)
@@ -370,19 +373,21 @@ def solve_ocp(
         lam_new = _eq_multipliers(st, C, HL @ p + grad + Hj.T @ mu_new)
         active = qp.active_set
 
-        mult_inf = np.max(np.abs(np.concatenate([lam_new, mu_new])))
+        mult_inf = np.abs(np.concatenate([lam_new, mu_new])).max()
         rho = max(rho, RHO_FACTOR * mult_inf + 1e-6)
         m0, viol0 = _merit(F, c, h, rho)
         # model slope of the merit function along p
         D = float(grad @ p) - rho * viol0
         # near a solution the predicted decrease drops below what float
         # arithmetic can resolve in the merit value; allow that much slack
-        slack = 100.0 * np.finfo(float).eps * (1.0 + abs(m0))
+        slack = 100.0 * EPS * (1.0 + abs(m0))
         alpha = 1.0
         while alpha >= cfg.alpha_min:
             z_try = z + alpha * p
-            F_try, _ = _eval_objective(st, phi, z_try, s, with_grad=False)
-            c_try, h_try, _ = _eval_constraints(st, phi, z_try, s, with_jac=False)
+            # the unit step is evaluated with derivatives: accepted, it is
+            # the next iterate's evaluation; a backtracked trial needs values
+            ev = _evaluate(st, phi, z_try, s, derivatives=alpha == 1.0)
+            F_try, _, c_try, h_try, _ = ev
             if np.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
                 if m_try <= m0 + ARMIJO_C1 * alpha * D + slack:
@@ -390,7 +395,7 @@ def solve_ocp(
             alpha *= 0.5
         else:
             return best[1], SolveReport("stalled", it, best[0])
-        z = z + alpha * p
+        z, ev = z_try, (ev if alpha == 1.0 else None)
         lam, mu = lam_new, mu_new
 
     return best[1], SolveReport("max_iter", cfg.max_sqp_iters, best[0])

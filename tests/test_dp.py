@@ -179,6 +179,25 @@ def test_greedy_policy_improvement():
         assert np.all(V1 >= V0 - 1e-9)
 
 
+def test_value_iteration_sweeps_are_bellman_backups_bit_for_bit():
+    # gamma P is formed once per call; each sweep must still round as
+    # bellman_backup does, so the iterates and their count stay the same
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        mdp = random_mdp(rng)
+        Q, iters = dp.value_iteration(mdp, tol=1e-10)
+        want = np.zeros_like(mdp.R)
+        for _ in range(iters):
+            want = dp.bellman_backup(mdp, want)
+        assert Q.tobytes() == want.tobytes()
+        assert np.max(np.abs(dp.bellman_backup(mdp, want) - want)) <= 1e-10
+
+
+def test_value_iteration_checks_the_warm_start_shape():
+    with pytest.raises(DimensionError):
+        dp.value_iteration(one_state_mdp(), Q0=np.zeros((2, 2)))
+
+
 # ---------------------------------------------------------------------------
 # riccati_solve
 
@@ -229,6 +248,32 @@ def test_riccati_non_stabilizable_raises():
     B = np.array([[0.0]])
     with pytest.raises(NonConvergenceError):
         dp.riccati_solve(A, B, np.eye(1), np.eye(1), 0.99)
+
+
+def test_riccati_gives_up_on_a_stalled_iteration(monkeypatch):
+    # the third LQ instance of oracle-suite seed 10: stabilizable (the PBH
+    # test's smallest singular value is 5.8e-4 at the unstable eigenvalue
+    # -1.355), but max|P| = 1.85e6, so one ulp (2.3e-10) is far above
+    # tol = 1e-12 and the update wanders at P's rounding instead of falling
+    A = np.array([[-0.6576024628299688, -1.67859560711584],
+                  [-0.6326975229960728, 0.16726333286165226]])
+    B = np.array([[-1.1196904347267307], [1.016453667432266]])
+    Rc = np.array([[0.9899352447208882]])
+    gamma = 0.9773376303225438
+    lam = np.linalg.eigvals(A)
+    unstable = lam[np.abs(lam) * np.sqrt(gamma) >= 1.0]
+    assert unstable.size == 1
+    pbh = np.linalg.svd(np.hstack([A - unstable[0] * np.eye(2), B]), compute_uv=False)
+    assert pbh.min() > 1e-4
+    # each sweep makes one np.linalg.solve; each of the three passes used to
+    # run all MAX_RICCATI_ITERS sweeps
+    sweeps = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: sweeps.append(1) or solve(*a))
+    stall = f"stalled, with no smaller update in {dp.RICCATI_STALL_SWEEPS} sweeps"
+    with pytest.raises(NonConvergenceError, match=stall):
+        dp.riccati_solve(A, B, np.eye(2), Rc, gamma)
+    assert len(sweeps) < dp.MAX_RICCATI_ITERS
 
 
 def test_riccati_input_validation():

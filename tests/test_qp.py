@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmpc.qp import qp_solve
+from qmpc.qp import _solve_kkt, qp_solve
 
 
 def kkt_certificate(sol, H, g, Aineq=None, bineq=None, tol=1e-8):
@@ -95,6 +95,58 @@ def test_zero_inequality_rows_are_pruned():
     sol = qp_solve(np.eye(2), np.array([-3.0, 0.0]), Aineq, np.array([5.0, 1.0]))
     assert sol.status == "converged"
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def _bordered_solve_kkt(H, A, g, b):
+    """_solve_kkt by the bordered assembly, which it skips without rows."""
+    nz, nc = H.shape[0], A.shape[0]
+    K = np.zeros((nz + nc, nz + nc))
+    K[:nz, :nz] = H
+    K[:nz, nz:] = A.T
+    K[nz:, :nz] = A
+    rhs = np.concatenate([-g, np.broadcast_to(b, (nc,) + np.shape(g)[1:])])
+    sol = np.linalg.solve(K, rhs)
+    resid = float(np.max(np.abs(K @ sol - rhs)))
+    return sol[:nz], sol[nz:], resid / (1.0 + float(np.max(np.abs(rhs))))
+
+
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_kkt_solve_without_rows_matches_bordered_assembly_bit_for_bit(cols):
+    # without rows the bordered matrix is H itself, and K @ sol - rhs is
+    # H @ x + g: the direct solve must give the same bits, residual included
+    rng = np.random.default_rng(11)
+    for nz in (1, 5, 12):
+        M = rng.normal(size=(nz, nz))
+        H = M @ M.T + 0.1 * np.eye(nz)
+        g = rng.normal(size=nz if cols is None else (nz, cols))
+        g.flat[0] = -0.0
+        for b in (0.0, np.zeros((0,) + g.shape[1:])):
+            got = _solve_kkt(H, np.zeros((0, nz)), g, b)
+            want = _bordered_solve_kkt(H, np.zeros((0, nz)), g, b)
+            for x, y in zip(got[:2], want[:2]):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("Aineq, bineq", [(None, None), (np.zeros((0, 4)), np.zeros(0)),
+                                          (np.zeros((2, 4)), np.array([0.0, 1.0]))],
+                         ids=["none", "empty", "all_zero"])
+def test_qp_without_live_rows_factors_and_solves_once(Aineq, bineq, monkeypatch):
+    # no row can block or leave, so the Cholesky test and the one free solve
+    # are the whole QP
+    calls = []
+    for name in ("cholesky", "solve"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _name=name, _fn=fn, **k: calls.append(_name) or _fn(*a, **k))
+    rng = np.random.default_rng(12)
+    M = rng.normal(size=(4, 4))
+    H, g = M @ M.T + np.eye(4), rng.normal(size=4)
+    sol = qp_solve(H, g, Aineq, bineq, active0=np.array([0]))
+    assert calls == ["cholesky", "solve"]
+    assert sol.status == "converged" and sol.iterations == 0 and sol.active_set.size == 0
+    assert sol.primal.tobytes() == np.linalg.solve(0.5 * (H + H.T), -g).tobytes()
+    assert sol.dual_ineq.tolist() == [0.0] * (0 if bineq is None else bineq.size)
 
 
 def test_warm_start_reuses_active_set():

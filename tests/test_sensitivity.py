@@ -222,12 +222,11 @@ def test_adjoint_policy_jacobian_matches_forward_solve(cstr_cfg):
 
     def residual(v):
         pv = phi.with_vector(v)
-        _, g = solver._eval_objective(st, pv, z, s)
-        c, _, jac = solver._eval_constraints(st, pv, z, s)
+        _, g, c, _, jac = solver._evaluate(st, pv, z, s)
         C, _ = solver._jacobians(st, jac)
         return np.concatenate([g + C.T @ lam, c])  # the inequality rows do not read phi
 
-    C, Hj = solver._jacobians(st, solver._eval_constraints(st, phi, z, s)[2])
+    C, Hj = solver._jacobians(st, solver._evaluate(st, phi, z, s)[4])
     G = np.vstack([C, Hj[kkt.active_set]])
     K = np.block([[solver._lagrangian_hessian(st, phi, z, s, lam), G.T],
                   [G, np.zeros((len(G), len(G)))]])

@@ -306,6 +306,12 @@ def _logged(spec):
     return dataclasses.replace(spec, **callbacks), log
 
 
+def _letters(log):
+    """The dynamics, dynamics_jac and qp_solve calls of a log as D, J and Q."""
+    letter = {"dynamics": "D", "dynamics_jac": "J", "qp_solve": "Q"}
+    return "".join(letter.get(name, "") for name, _, _ in log)
+
+
 @pytest.mark.parametrize("case", ["lq", "cstr"])
 def test_one_batched_dynamics_jacobian_per_sqp_iterate(case, lq2_ocp, cstr_cfg, monkeypatch):
     if case == "lq":
@@ -325,15 +331,41 @@ def test_one_batched_dynamics_jacobian_per_sqp_iterate(case, lq2_ocp, cstr_cfg, 
     monkeypatch.setattr(solver, "qp_solve", logged_qp)
     _, report = solve_ocp(logged, phi, s, settings=settings)
     assert report.status == "converged" and report.iterations >= 1
-    letter = {"dynamics": "D", "dynamics_jac": "J", "qp_solve": "Q"}
-    trace = "".join(letter.get(name, "") for name, _, _ in log)
-    # cold-start rollout, then per iterate one Jacobian call, its QP, and a
-    # line search that evaluates the dynamics without Jacobians
-    assert re.fullmatch(r"D*J(QD+J)*", trace), trace
+    trace = _letters(log)
+    # cold-start rollout and the first iterate's Jacobian call; then per SQP
+    # step its QP and a line search whose unit step is evaluated with the
+    # Jacobian.  Accepted, that call is the next iterate's linearization;
+    # rejected, value-only backtracks follow and the next iterate makes its
+    # own Jacobian call.
+    assert re.fullmatch(r"D{%d}J(Q(J|JD+J))*" % spec.H, trace), trace
+    rejected = len(re.findall(r"JD+J", trace))
     assert trace.count("Q") == report.iterations
-    assert trace.count("J") == report.iterations + 1
+    assert trace.count("J") == report.iterations + 1 + rejected
+    if case == "lq":  # one exact Newton step, taken whole
+        assert trace == "D" * spec.H + "JQJ"
+    else:
+        assert rejected >= 1
     shapes = {(x, u) for name, x, u in log if name == "dynamics_jac"}
     assert shapes == {((spec.H, spec.n), (spec.H, spec.m))}
+
+
+def test_rejected_unit_step_backtracks_on_values_then_linearizes_the_next_iterate(cstr_cfg):
+    # the reactor's first SQP step from a cold start is too long: its unit
+    # step, evaluated with derivatives, is rejected, two halvings evaluate
+    # values only, and the point they accept gets its own linearization
+    spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
+    logged, log = _logged(spec)
+    _, report = solve_ocp(logged, phi, np.array([0.8, 0.4, 130.0, 130.0]),
+                          settings=SolverSettings(kkt_tol=1e-6))
+    assert report.status == "converged"
+    names = [name for name, _, _ in log[spec.H:]]
+    with_jac = ["stage_cost", "stage_grad", "dynamics_jac", "ineq_constraints", "ineq_jac"]
+    values = ["stage_cost", "dynamics", "ineq_constraints"]
+    step = ["stage_hess"]  # the reactor's curvature is Gauss-Newton: no dynamics_hess_vp
+    assert spec.dynamics_hess_vp is None
+    # iterate 0 and its QP step; the unit step, rejected; alpha = 1/2,
+    # rejected, and 1/4, accepted; then iterate 1 at alpha = 1/4
+    assert names[:22] == with_jac + step + with_jac + values + values + with_jac
 
 
 def _traffic_case(case, H, lq2, cstr_cfg):
@@ -360,16 +392,21 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
         assert log[:H] == [("dynamics", *one_stage)] * H
         batch = ((H, spec.n), (H, spec.m))
         assert all((x, u) == batch for _, x, u in log[H:])
-        # each iterate evaluates with derivatives, each QP step adds the
-        # Hessian, and each line-search trial evaluates values only
-        it, trials = report.iterations, Counter(name for name, _, _ in log[H:])["dynamics"]
+        # the first iterate and each step's unit trial evaluate with
+        # derivatives, and so does the iterate after a rejected unit step;
+        # each QP step adds the Hessian, and each backtrack evaluates values
+        it = report.iterations
+        backtracks = Counter(name for name, _, _ in log[H:])["dynamics"]
+        rejected = len(re.findall(r"D+", _letters(log[H:])))
+        linearized = it + 1 + rejected
         want = {
-            "stage_cost": it + 1 + trials, "stage_grad": it + 1, "stage_hess": it,
-            "dynamics_jac": it + 1, "dynamics": trials, "dynamics_hess_vp": it,
-            "ineq_constraints": it + 1 + trials, "ineq_jac": it + 1,
+            "stage_cost": linearized + backtracks, "stage_grad": linearized,
+            "stage_hess": it, "dynamics_jac": linearized, "dynamics": backtracks,
+            "dynamics_hess_vp": it, "ineq_constraints": linearized + backtracks,
+            "ineq_jac": linearized,
         }
-        want = {name: k for name, k in want.items() if getattr(spec, name) is not None}
-        assert Counter(name for name, _, _ in log[H:]) == want
+        want = Counter({name: k for name, k in want.items() if getattr(spec, name) is not None})
+        assert Counter(name for name, _, _ in log[H:]) == want  # a zero count is no call
 
         del log[:]
         jac_policy_wrt_params(logged, phi, kkt)
@@ -454,7 +491,7 @@ def test_condensed_policy_jacobian_matches_full_space_solve(case, lq2, cstr_cfg)
         assert abs(a[0]) < 0.1
     st = solver._Stacker(spec, False)
     z, lam = kkt.z, kkt.lam
-    C, Hj = solver._jacobians(st, solver._eval_constraints(st, phi, z, s)[2])
+    C, Hj = solver._jacobians(st, solver._evaluate(st, phi, z, s)[4])
     G = np.vstack([C, Hj[kkt.active_set]])
     K = np.block([[solver._lagrangian_hessian(st, phi, z, s, lam), G.T],
                   [G, np.zeros((len(G), len(G)))]])
