@@ -432,9 +432,6 @@ def build_cstr_ocp(
     def terminal_grad_phi_vp(x, pv, dx):
         return -vmodel(pv).features_jac(x) @ dx
 
-    def dynamics(x, u, pv):
-        return cstr_discrete(cfg, x, u)
-
     def dynamics_jac(x, u, pv):
         return cstr_discrete_jac(cfg, x, u)
 
@@ -466,7 +463,6 @@ def build_cstr_ocp(
         terminal_hess=terminal_hess,
         terminal_phi=terminal_phi,
         terminal_grad_phi_vp=terminal_grad_phi_vp,
-        dynamics=dynamics,
         dynamics_jac=dynamics_jac,
         dynamics_hess_vp=None,  # Gauss-Newton treatment of the reactor model
         n_ineq=n_ineq,

@@ -30,7 +30,7 @@ FD_REL_TOL = 1e-4
 # and state and input directions "dx", "du"
 STAGE_CALLBACKS = {
     "stage_cost": (), "stage_grad": (), "stage_hess": (), "stage_phi": (),
-    "stage_grad_phi_vp": ("dx", "du"), "dynamics": (), "dynamics_jac": (),
+    "stage_grad_phi_vp": ("dx", "du"), "dynamics_jac": (),
     "dynamics_phi_vp": ("lam",), "dynamics_jac_phi_vp": ("lam", "dx", "du"),
     "dynamics_hess_vp": ("lam",), "ineq_constraints": (), "ineq_jac": (),
 }
@@ -106,10 +106,10 @@ class ParameterVector:
 class OCPSpec:
     """Immutable description of a parametric OCP; callbacks must be pure.
 
-    Ten callbacks are required: the stage cost with ``stage_grad`` and
+    Nine callbacks are required: the stage cost with ``stage_grad`` and
     ``stage_hess``, the terminal cost with ``terminal_grad``,
-    ``terminal_hess``, ``terminal_phi`` and ``terminal_grad_phi_vp``, and the
-    two dynamics callbacks.
+    ``terminal_hess``, ``terminal_phi`` and ``terminal_grad_phi_vp``, and
+    ``dynamics_jac``, the one model callback.
 
     Every stage callback takes a batch of stages, states X (..., n) and
     inputs U (..., m), and returns its result with the same leading axes, so
@@ -120,9 +120,8 @@ class OCPSpec:
       stage_cost      -> l (...)
       stage_grad      -> (l_x (..., n), l_u (..., m))
       stage_hess      -> (l_xx (..., n,n), l_xu (..., n,m), l_uu (..., m,m))
-      dynamics        -> F (..., n), the successor states f(X, U, phi)
-      dynamics_jac    -> (F, f_x (..., n,n), f_u (..., n,m)), all from one
-          evaluation of the model; its F equals dynamics(X, U, phi)
+      dynamics_jac    -> (F (..., n), f_x (..., n,n), f_u (..., n,m)): the
+          successor states f(X, U, phi) and their Jacobians
       terminal_grad   -> V_x (n,)
       terminal_hess   -> V_xx (n,n)
 
@@ -164,7 +163,6 @@ class OCPSpec:
     terminal_hess: Callable
     terminal_phi: Callable
     terminal_grad_phi_vp: Callable
-    dynamics: Callable
     dynamics_jac: Callable
     stage_phi: Callable | None = None
     stage_grad_phi_vp: Callable | None = None
@@ -332,9 +330,6 @@ def build_lq_ocp(
     def terminal_grad_phi_vp(x, pv, dx):
         return vec(P=_outer(dx, x) + _outer(x, dx))
 
-    def dynamics(x, u, pv):
-        return _matvec(mat(pv, "A"), x) + _matvec(mat(pv, "B"), u)
-
     def dynamics_jac(x, u, pv):
         Am, Bm = mat(pv, "A"), mat(pv, "B")
         F = _matvec(Am, x) + _matvec(Bm, u)
@@ -385,7 +380,6 @@ def build_lq_ocp(
         terminal_hess=terminal_hess,
         terminal_phi=terminal_phi,
         terminal_grad_phi_vp=terminal_grad_phi_vp,
-        dynamics=dynamics,
         dynamics_jac=dynamics_jac,
         dynamics_phi_vp=dynamics_phi_vp,
         dynamics_jac_phi_vp=dynamics_jac_phi_vp,
@@ -449,11 +443,11 @@ def validate_spec(
     Jacobian product.  A phi-derivative left None counts as an exact zero and
     is checked the same way, so a spec that declares None for a term that
     reads phi gets a finding; the inequalities must not move with phi at all.
-    The state returned by ``dynamics_jac`` must equal ``dynamics``, and every
-    stage callback, given all probe points as one batch, must return the
-    per-point results (relative tolerance 1e-12).  A callback that returns a
-    non-finite value gets the one finding "<name>: returns non-finite
-    values", and no comparison that meets such a value reports it again.
+    Every stage callback, given all probe points as one batch, must return
+    the per-point results (relative tolerance 1e-12).  A callback that
+    returns a non-finite value gets the one finding "<name>: returns
+    non-finite values", and no comparison that meets such a value reports it
+    again.
     Returns human-readable findings; empty means the spec passed.
     """
     rng = np.random.default_rng(0) if rng is None else rng
@@ -498,6 +492,9 @@ def validate_spec(
             return
         check(name, analytic, numeric)
 
+    def f(x, u, pv):  # the successor state alone
+        return spec.dynamics_jac(x, u, pv)[0]
+
     X, U = rng.normal(size=(3, n)), rng.normal(size=(3, m))
     # multipliers and directions, by the argument names of STAGE_CALLBACKS
     args = {"lam": rng.normal(size=(3, n)), "dx": rng.normal(size=(3, n)),
@@ -514,11 +511,9 @@ def validate_spec(
               _fd_jac(lambda v: spec.terminal_cost(v, phi), x))
         check("terminal_hess", spec.terminal_hess(x, phi),
               _fd_jac(lambda v: spec.terminal_grad(v, phi), x))
-        f, fx, fu = spec.dynamics_jac(x, u, phi)
-        if dev_of(f, spec.dynamics(x, u, phi)) > 1e-12:
-            findings.append("dynamics_jac[F]: differs from dynamics")
-        check("dynamics_jac[x]", fx, _fd_jac(lambda v: spec.dynamics(v, u, phi), x))
-        check("dynamics_jac[u]", fu, _fd_jac(lambda v: spec.dynamics(x, v, phi), u))
+        _, fx, fu = spec.dynamics_jac(x, u, phi)
+        check("dynamics_jac[x]", fx, _fd_jac(lambda v: f(v, u, phi), x))
+        check("dynamics_jac[u]", fu, _fd_jac(lambda v: f(x, v, phi), u))
 
         def grad_along(pv):  # l_x.dx + l_u.du
             gx, gu = spec.stage_grad(x, u, pv)
@@ -536,14 +531,14 @@ def validate_spec(
         check_phi("terminal_grad_phi_vp", spec.terminal_grad_phi_vp(x, phi, dx),
                   lambda pv: spec.terminal_grad(x, pv) @ dx)
         check_phi("dynamics_phi_vp", _call(spec.dynamics_phi_vp, x, u, phi, lam),
-                  lambda pv: lam @ spec.dynamics(x, u, pv))
+                  lambda pv: lam @ f(x, u, pv))
         check_phi("dynamics_jac_phi_vp", _call(spec.dynamics_jac_phi_vp, x, u, phi, lam, dx, du),
                   jac_along)
         if spec.dynamics_hess_vp is not None:
             hv = spec.dynamics_hess_vp(x, u, phi, lam)
 
             def lam_f(xu):
-                return lam @ spec.dynamics(xu[:n], xu[n:], phi)
+                return lam @ f(xu[:n], xu[n:], phi)
 
             # Nested differences need a coarser step to stay above rounding noise.
             check(

@@ -22,7 +22,7 @@ smoothed; callers decide whether to drop them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,7 +195,11 @@ def finite_diff_check(
     Pinned mode (``a`` given) checks the value gradient; free mode checks the
     policy Jacobian.  Per-index steps are step_scale*(1+|phi_i|); deviations
     are scaled by max(1, ||fd||_inf).  Indices whose perturbed solves fail are
-    excluded with a warning.
+    excluded with a warning.  The perturbed solves start from the base plan
+    with zero multipliers: warm with the base multipliers too, a solve whose
+    residual at the base point is already within tolerance would return that
+    point at iteration 0, and the difference would read the perturbation as
+    having no effect.
     """
     s = np.asarray(s, dtype=float)
     if a is None:
@@ -205,6 +209,7 @@ def finite_diff_check(
         a = np.asarray(a, dtype=float)
         _, kkt = mpc_qvalue(spec, phi, s, a, settings=settings)
         analytic = grad_q_wrt_params(spec, phi, kkt).grad_value
+    warm = replace(kkt, lam=np.zeros_like(kkt.lam), mu=np.zeros_like(kkt.mu))
 
     indices = range(phi.size) if phi_indices is None else phi_indices
     max_dev = 0.0
@@ -218,10 +223,10 @@ def finite_diff_check(
             phi_p = phi.with_vector(pert)
             try:
                 if a is None:
-                    act_p, _ = mpc_policy(spec, phi_p, s, warm_start=kkt, settings=settings)
+                    act_p, _ = mpc_policy(spec, phi_p, s, warm_start=warm, settings=settings)
                     cols.append(act_p)
                 else:
-                    q_p, _ = mpc_qvalue(spec, phi_p, s, a, warm_start=kkt, settings=settings)
+                    q_p, _ = mpc_qvalue(spec, phi_p, s, a, warm_start=warm, settings=settings)
                     cols.append(q_p)
             except QmpcError as exc:
                 log.warning("finite-diff check: perturbed solve failed at index %d: %s", i, exc)

@@ -13,9 +13,8 @@ when u_0 is pinned).  The active-set QP in v, on the (regularized) Lagrangian
 Hessian reduced by Z, carries the inequality rows only; the multipliers of
 the dynamics rows follow from stationarity by one transposed triangular
 solve.  A backtracking line search on an l1 merit function globalizes the
-step.  Its unit step is evaluated with the gradient and the stage Jacobians,
-so an accepted unit step hands the next iterate its evaluation and each
-iterate is evaluated once; a backtracked trial evaluates values only.
+step.  Every trial is evaluated in full, so the accepted one hands the next
+iterate its evaluation.
 
 Solving with a pinned first input prices Q(s, a); the free solve returns the
 receding-horizon policy action u*_0 and its plan.  Both values are costs
@@ -119,11 +118,11 @@ def _blocks(rows: np.ndarray, cols: np.ndarray):
     return rows[:, :, None], cols[:, None, :]
 
 
-def _evaluate(st: _Stacker, phi, z, s, derivatives=True):
-    """(F, grad, c, h, jac) at z: the objective F, the values c, h of the
-    dynamics and inequality rows and, with ``derivatives``, the gradient of F
-    and the stage Jacobian blocks (fx, fu, hx, hu) (else both None).  Each
-    stage callback is called once, on all H stages."""
+def _evaluate(st: _Stacker, phi, z, s):
+    """(F, grad, c, h, jac) at z: the objective F and its gradient, the
+    values c, h of the dynamics and inequality rows and the stage Jacobian
+    blocks (fx, fu, hx, hu).  Each stage callback is called once, on all H
+    stages."""
     spec = st.spec
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
@@ -131,21 +130,19 @@ def _evaluate(st: _Stacker, phi, z, s, derivatives=True):
     # builtin sum adds the stages in order, whatever the horizon
     F = sum(w * spec.stage_cost(X, us, phi))
     F += wH * spec.terminal_cost(xs[spec.H], phi)
-    grad = jac = None
-    if derivatives:
-        lx, lu = spec.stage_grad(X, us, phi)
-        # z holds x_1..x_H, then u_0..u_{H-1}; adding 0.0 turns -0.0 into
-        # +0.0, as accumulating into zeros does
-        grad = 0.0 + np.concatenate([(w[1:, None] * lx[1:]).ravel(),
-                                     wH * spec.terminal_grad(xs[spec.H], phi),
-                                     (w[:, None] * lu).ravel()])
-        f, fx, fu = spec.dynamics_jac(X, us, phi)
-    else:
-        f = spec.dynamics(X, us, phi)
+    lx, lu = spec.stage_grad(X, us, phi)
+    # z holds x_1..x_H, then u_0..u_{H-1}; adding 0.0 turns -0.0 into +0.0,
+    # as accumulating into zeros does
+    grad = 0.0 + np.concatenate([(w[1:, None] * lx[1:]).ravel(),
+                                 wH * spec.terminal_grad(xs[spec.H], phi),
+                                 (w[:, None] * lu).ravel()])
+    f, fx, fu = spec.dynamics_jac(X, us, phi)
     c = (xs[1:] - f).ravel()
-    h = spec.ineq_constraints(X, us, phi).ravel() if spec.n_ineq else np.zeros(0)
-    if derivatives:
-        jac = (fx, fu) + (spec.ineq_jac(X, us, phi) if spec.n_ineq else (None, None))
+    if spec.n_ineq:
+        h = spec.ineq_constraints(X, us, phi).ravel()
+        jac = (fx, fu, *spec.ineq_jac(X, us, phi))
+    else:
+        h, jac = np.zeros(0), (fx, fu, None, None)
     return float(F), grad, c, h, jac
 
 
@@ -273,7 +270,7 @@ def _initial_iterate(st: _Stacker, phi, s, pinned_a):
     for k in range(spec.H):
         u = pinned_a if (k == 0 and pinned_a is not None) else u_hold
         z[st.u_idx[k]] = u
-        x = np.asarray(spec.dynamics(x, u, phi), dtype=float)
+        x = np.asarray(spec.dynamics_jac(x, u, phi)[0], dtype=float)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
             ok = False
             break
@@ -296,11 +293,8 @@ def solve_ocp(
 ) -> tuple[KKTPoint | None, SolveReport]:
     """Solve the OCP from state ``s``; pin the first input to price Q(s, a).
 
-    Each iterate is evaluated once: the line search evaluates its unit step
-    with derivatives, and when that step is accepted its (F, grad, c, h,
-    jac) is the next iterate's evaluation, which the finiteness checks then
-    read as if it were fresh.  After a backtracked step the next iterate is
-    evaluated anew.
+    Each iterate is evaluated once: the line-search trial it comes from
+    carries its (F, grad, c, h, jac), which the finiteness checks then read.
 
     Returns (kkt, report).  kkt is None when the QP finds the linearized
     problem infeasible, or when an iterate, its objective, gradient,
@@ -334,7 +328,7 @@ def solve_ocp(
 
     rho = 1.0
     best = None  # (residual, kkt_point)
-    ev = None  # the evaluation of z, when the line search made it
+    ev = None  # the evaluation of z, once the line search makes it
 
     for it in range(cfg.max_sqp_iters + 1):
         if not np.isfinite(z).all():
@@ -384,9 +378,7 @@ def solve_ocp(
         alpha = 1.0
         while alpha >= cfg.alpha_min:
             z_try = z + alpha * p
-            # the unit step is evaluated with derivatives: accepted, it is
-            # the next iterate's evaluation; a backtracked trial needs values
-            ev = _evaluate(st, phi, z_try, s, derivatives=alpha == 1.0)
+            ev = _evaluate(st, phi, z_try, s)
             F_try, _, c_try, h_try, _ = ev
             if np.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
@@ -395,8 +387,7 @@ def solve_ocp(
             alpha *= 0.5
         else:
             return best[1], SolveReport("stalled", it, best[0])
-        z, ev = z_try, (ev if alpha == 1.0 else None)
-        lam, mu = lam_new, mu_new
+        z, lam, mu = z_try, lam_new, mu_new
 
     return best[1], SolveReport("max_iter", cfg.max_sqp_iters, best[0])
 

@@ -177,6 +177,7 @@ def test_td_fixed_point_at_exact_parameterization():
     )
 
 
+@pytest.mark.slow
 def test_policy_gradient_closes_performance_gap(lq_study):
     summary, out, elapsed = lq_study
     closure = summary["gap_closure"]
@@ -215,6 +216,7 @@ def test_reactor_agents_rank_as_expected(cstr_study):
     )
 
 
+@pytest.mark.slow
 def test_reruns_are_byte_identical(lq_study, cstr_study, tmp_path):
     def drop_wall(path: Path) -> list[str]:
         lines = (path / "metrics.csv").read_text().splitlines()

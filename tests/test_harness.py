@@ -227,3 +227,14 @@ def test_oracle_suite_redraws_unsolvable_lq_instances(tmp_path, caplog):
         summary = run_oracle_suite(tmp_path, seed=10)
     assert "LQ draw 1 not solvable, redrawing" in caplog.text
     assert summary["riccati_max_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [22, 24])
+def test_oracle_suite_differences_measure_the_sensitivity(tmp_path, seed):
+    # at these seeds the base point with its multipliers already meets the
+    # tolerance at some perturbed parameters; a perturbed solve that returned
+    # it at iteration 0 would make the central difference read zero against
+    # a nonzero sensitivity
+    summary = run_oracle_suite(tmp_path, seed=seed)
+    assert summary["sensitivity_max_fd_deviation"] <= 1e-4
+    assert summary["passed"]

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qmpc.envs import build_cstr_ocp, cstr_discrete, cstr_discrete_jac
+from qmpc.envs import build_cstr_ocp, cstr_discrete_jac
 from qmpc.errors import DimensionError
 from qmpc.ocp import (
     STAGE_CALLBACKS,
@@ -193,18 +193,6 @@ def test_validate_flags_wrong_shape(lq2_ocp):
     assert any(f.startswith("terminal_grad:") and "shape" in f for f in findings)
 
 
-def test_validate_flags_dynamics_jac_state_mismatch(lq2_ocp):
-    spec, phi = lq2_ocp
-    orig = spec.dynamics_jac
-
-    def stale_state(x, u, pv):
-        f, fx, fu = orig(x, u, pv)
-        return f + 1e-6, fx, fu
-
-    findings = validate_spec(dataclasses.replace(spec, dynamics_jac=stale_state), phi)
-    assert any(f.startswith("dynamics_jac[F]: differs from dynamics") for f in findings)
-
-
 def test_validate_flags_wrong_dynamics_jacobian_block(lq2_ocp):
     spec, phi = lq2_ocp
     orig = spec.dynamics_jac
@@ -313,7 +301,6 @@ def _one_stage_lq(phi):
         "stage_grad_phi_vp": lambda x, u, pv, dx, du: at(
             Q=np.outer(dx, x) + np.outer(x, dx), R=np.outer(du, u) + np.outer(u, du)
         ),
-        "dynamics": f,
         "dynamics_jac": lambda x, u, pv: (f(x, u, pv), mat(pv, "A"), mat(pv, "B")),
         "dynamics_phi_vp": lambda x, u, pv, lam: at(A=np.outer(lam, x), B=np.outer(lam, u)),
         "dynamics_jac_phi_vp": lambda x, u, pv, lam, dx, du: at(
@@ -344,7 +331,6 @@ def _one_stage_cstr(cfg):
         "stage_hess": lambda x, u, pv: (
             np.diag([0.0, 2.0 * wt, 0.0, 0.0]), np.zeros((4, 2)), np.diag(2.0 * wm)
         ),
-        "dynamics": lambda x, u, pv: cstr_discrete(cfg, x, u),
         "dynamics_jac": lambda x, u, pv: cstr_discrete_jac(cfg, x, u),
         "ineq_constraints": lambda x, u, pv: np.concatenate(
             [rows_u @ u + off_u, rows_x @ x + off_x]

@@ -102,7 +102,6 @@ def test_dead_parameter_entry_is_structurally_zero():
         terminal_hess=lambda x, pv: 2 * np.eye(1),
         terminal_phi=lambda x, pv: np.zeros(3),
         terminal_grad_phi_vp=lambda x, pv, dx: np.zeros(3),
-        dynamics=lambda x, u, pv: 0.5 * x + u,
         dynamics_jac=lambda x, u, pv: (0.5 * x + u, *blocks(x, 0.5, 1.0)),
         dynamics_hess_vp=lambda x, u, pv, lam: np.zeros(lam.shape[:-1] + (2, 2)),
     )

@@ -184,7 +184,7 @@ def test_complementarity_and_dual_signs():
         h = np.concatenate([u - 1.0, -u - 1.0])
         mu_k = kkt.mu[2 * k: 2 * k + 2]
         assert np.max(np.abs(mu_k * h)) <= 1e-7
-        st_states.append(spec.dynamics(st_states[-1], u, phi))
+        st_states.append(spec.dynamics_jac(st_states[-1], u, phi)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +307,14 @@ def _logged(spec):
 
 
 def _letters(log):
-    """The dynamics, dynamics_jac and qp_solve calls of a log as D, J and Q."""
-    letter = {"dynamics": "D", "dynamics_jac": "J", "qp_solve": "Q"}
-    return "".join(letter.get(name, "") for name, _, _ in log)
+    """The dynamics_jac and qp_solve calls of a log: R for one stage of a
+    cold-start rollout, J for a batch of stages, Q for a QP."""
+    def letter(name, x):
+        if name == "dynamics_jac":
+            return "R" if len(x) == 1 else "J"
+        return "Q" if name == "qp_solve" else ""
+
+    return "".join(letter(name, x) for name, x, _ in log)
 
 
 @pytest.mark.parametrize("case", ["lq", "cstr"])
@@ -332,40 +337,39 @@ def test_one_batched_dynamics_jacobian_per_sqp_iterate(case, lq2_ocp, cstr_cfg, 
     _, report = solve_ocp(logged, phi, s, settings=settings)
     assert report.status == "converged" and report.iterations >= 1
     trace = _letters(log)
-    # cold-start rollout and the first iterate's Jacobian call; then per SQP
-    # step its QP and a line search whose unit step is evaluated with the
-    # Jacobian.  Accepted, that call is the next iterate's linearization;
-    # rejected, value-only backtracks follow and the next iterate makes its
-    # own Jacobian call.
-    assert re.fullmatch(r"D{%d}J(Q(J|JD+J))*" % spec.H, trace), trace
-    rejected = len(re.findall(r"JD+J", trace))
+    # a cold-start rollout, one stage at a time, and the first iterate's
+    # Jacobian call; then per SQP step its QP and one Jacobian call per
+    # line-search trial.  The accepted trial's call is the next iterate's
+    # linearization, whatever its step length.
+    assert re.fullmatch(r"R{%d}J(QJ+)*" % spec.H, trace), trace
+    rejected = len(re.findall(r"J(?=J)", trace))
     assert trace.count("Q") == report.iterations
     assert trace.count("J") == report.iterations + 1 + rejected
     if case == "lq":  # one exact Newton step, taken whole
-        assert trace == "D" * spec.H + "JQJ"
+        assert trace == "R" * spec.H + "JQJ"
     else:
         assert rejected >= 1
     shapes = {(x, u) for name, x, u in log if name == "dynamics_jac"}
-    assert shapes == {((spec.H, spec.n), (spec.H, spec.m))}
+    assert shapes == {((spec.n,), (spec.m,)), ((spec.H, spec.n), (spec.H, spec.m))}
 
 
-def test_rejected_unit_step_backtracks_on_values_then_linearizes_the_next_iterate(cstr_cfg):
+def test_backtracked_trial_carries_its_linearization_to_the_next_iterate(cstr_cfg):
     # the reactor's first SQP step from a cold start is too long: its unit
-    # step, evaluated with derivatives, is rejected, two halvings evaluate
-    # values only, and the point they accept gets its own linearization
+    # step and the half step are rejected, the quarter step is accepted, and
+    # each of the three trials is evaluated in full; the accepted one is
+    # iterate 1's evaluation, so its QP step follows with no call between
     spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
     logged, log = _logged(spec)
     _, report = solve_ocp(logged, phi, np.array([0.8, 0.4, 130.0, 130.0]),
                           settings=SolverSettings(kkt_tol=1e-6))
     assert report.status == "converged"
     names = [name for name, _, _ in log[spec.H:]]
-    with_jac = ["stage_cost", "stage_grad", "dynamics_jac", "ineq_constraints", "ineq_jac"]
-    values = ["stage_cost", "dynamics", "ineq_constraints"]
+    full = ["stage_cost", "stage_grad", "dynamics_jac", "ineq_constraints", "ineq_jac"]
     step = ["stage_hess"]  # the reactor's curvature is Gauss-Newton: no dynamics_hess_vp
     assert spec.dynamics_hess_vp is None
-    # iterate 0 and its QP step; the unit step, rejected; alpha = 1/2,
-    # rejected, and 1/4, accepted; then iterate 1 at alpha = 1/4
-    assert names[:22] == with_jac + step + with_jac + values + values + with_jac
+    # iterate 0 and its QP step; the trials at alpha = 1, 1/2 and 1/4; then
+    # iterate 1's QP step
+    assert names[:22] == full + step + full * 3 + step
 
 
 def _traffic_case(case, H, lq2, cstr_cfg):
@@ -389,21 +393,18 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
         kkt, report = solve_ocp(logged, phi, s, settings=settings)
         assert report.status == "converged" and report.iterations >= 1
         one_stage = ((spec.n,), (spec.m,))
-        assert log[:H] == [("dynamics", *one_stage)] * H
+        assert log[:H] == [("dynamics_jac", *one_stage)] * H
         batch = ((H, spec.n), (H, spec.m))
         assert all((x, u) == batch for _, x, u in log[H:])
-        # the first iterate and each step's unit trial evaluate with
-        # derivatives, and so does the iterate after a rejected unit step;
-        # each QP step adds the Hessian, and each backtrack evaluates values
+        # the first iterate and each line-search trial are evaluated in full,
+        # and each QP step adds the Hessian
         it = report.iterations
-        backtracks = Counter(name for name, _, _ in log[H:])["dynamics"]
-        rejected = len(re.findall(r"D+", _letters(log[H:])))
-        linearized = it + 1 + rejected
+        evaluated = Counter(name for name, _, _ in log[H:])["dynamics_jac"]
+        assert evaluated >= it + 1
         want = {
-            "stage_cost": linearized + backtracks, "stage_grad": linearized,
-            "stage_hess": it, "dynamics_jac": linearized, "dynamics": backtracks,
-            "dynamics_hess_vp": it, "ineq_constraints": linearized + backtracks,
-            "ineq_jac": linearized,
+            "stage_cost": evaluated, "stage_grad": evaluated, "stage_hess": it,
+            "dynamics_jac": evaluated, "dynamics_hess_vp": it,
+            "ineq_constraints": evaluated, "ineq_jac": evaluated,
         }
         want = Counter({name: k for name, k in want.items() if getattr(spec, name) is not None})
         assert Counter(name for name, _, _ in log[H:]) == want  # a zero count is no call
@@ -411,7 +412,7 @@ def test_stage_callback_traffic_does_not_grow_with_horizon(case, lq2, cstr_cfg):
         del log[:]
         jac_policy_wrt_params(logged, phi, kkt)
         # it reuses the solve's last linearization, the blocks kkt carries
-        assert not {"dynamics", "dynamics_jac", "ineq_constraints", "ineq_jac"} & {
+        assert not {"dynamics_jac", "ineq_constraints", "ineq_jac"} & {
             name for name, _, _ in log}
         # the policy Jacobian's m adjoint directions come to each VJP as a
         # leading batch axis, once per VJP
