@@ -77,6 +77,14 @@ class LQEnvConfig:
             raise ValueError("Rc must be positive definite")
 
 
+def _per_row(rng, draw):
+    """draw(rng) for one generator, or the stack of draw(g) over a sequence of
+    generators, one per row."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.array([draw(g) for g in rng])
+
+
 def lq_step(cfg: LQEnvConfig, s: np.ndarray, a: np.ndarray, rng: np.random.Generator):
     """One step: s' = As + Ba + w, r = -(s'Qc s + a'Rc a)."""
     r = -(float(s @ cfg.Qc @ s + a @ cfg.Rc @ a))
@@ -85,17 +93,27 @@ def lq_step(cfg: LQEnvConfig, s: np.ndarray, a: np.ndarray, rng: np.random.Gener
 
 
 class LQEnv:
-    """Environment wrapper over lq_step; initial states uniform in a box."""
+    """Environment wrapper over lq_step; initial states uniform in a box.
+
+    ``reset`` and ``step`` take one state with one generator, or a stack of
+    states (B, n) with one generator per row.  A stack steps row by row: each
+    row draws its own noise, and a batched product would round the rows
+    differently from one-state calls (BLAS gemv against ddot).
+    """
 
     def __init__(self, cfg: LQEnvConfig):
         self.cfg = cfg
         self.n, self.m = cfg.B.shape
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.cfg.x0_lo, self.cfg.x0_hi)
+    def reset(self, rng) -> np.ndarray:
+        return _per_row(rng, lambda g: g.uniform(self.cfg.x0_lo, self.cfg.x0_hi))
 
     def step(self, s, a, rng):
-        return lq_step(self.cfg, np.asarray(s, float), np.asarray(a, float), rng)
+        s, a = np.asarray(s, float), np.asarray(a, float)
+        if s.ndim == 1:
+            return lq_step(self.cfg, s, a, rng)
+        rows = [lq_step(self.cfg, *row) for row in zip(s, a, rng)]
+        return np.array([r for r, _ in rows]), np.array([x for _, x in rows])
 
 
 @dataclass(frozen=True)
@@ -277,15 +295,24 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
 
     Returns (x_next (..., 4), d x_next/d s (..., 4, 4), d x_next/d a (..., 4, 2)),
     chaining the RK4 stage derivatives; broadcasts over leading batch axes.
-    x_next equals :func:`cstr_discrete` bit for bit.
+    x_next equals :func:`cstr_discrete` bit for bit.  The pass integrates
+    first, then takes the right-hand-side Jacobians at all 4 * substeps stage
+    points in one :func:`_rhs_jac` call on a leading stage axis (elementwise,
+    so each stage's Jacobians are the ones a call of its own gives).
     """
     h = cfg.dt / cfg.substeps
     c, x, u, K = _stacked(cfg, np.asarray(s, dtype=float), np.asarray(a, dtype=float))
+    stages = []
+    for _ in range(cfg.substeps):
+        x, substages = _rk4_substep(c, x, u, K)
+        stages += substages
+    points = np.stack([xs for xs, _ in stages], axis=1)  # (4, 4 * substeps, ...)
+    rates = np.stack([r for _, r in stages], axis=1)
+    Jx_stages, Ju_stages = _rhs_jac(cfg._rk4[1], points, u, rates)
     eye = np.eye(4)
     Jx_tot, Ju_tot = eye, np.zeros((4, 2))  # the batch axes arrive via Sx
-    for _ in range(cfg.substeps):
-        x, stages = _rk4_substep(c, x, u, K)
-        (A1, B1), (A2, B2), (A3, B3), (A4, B4) = (_rhs_jac(c, xs, u, r) for xs, r in stages)
+    for k in range(0, len(stages), 4):
+        (A1, A2, A3, A4), (B1, B2, B3, B4) = Jx_stages[k : k + 4], Ju_stages[k : k + 4]
         # stagewise chain rule for dk_i/dx and dk_i/du
         D1x, D1u = A1, B1
         D2x = A2 @ (eye + 0.5 * h * D1x)
@@ -303,33 +330,45 @@ def cstr_discrete_jac(cfg: CSTRConfig, s: np.ndarray, a: np.ndarray):
 
 def cstr_step(
     cfg: CSTRConfig, s: np.ndarray, a: np.ndarray, a_prev: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """One reward-and-transition step of the reactor.
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """One reward-and-transition step of the reactor; batched.
 
     The move penalty needs the previously applied input; environment wrappers
-    track it so policies stay state-feedback.
+    track it so policies stay state-feedback.  States (..., 4), inputs and
+    previous inputs (..., 2) give rewards (...) and next states (..., 4), each
+    row equal to its one-state call bit for bit: the tracking square calls
+    libm pow per entry, as a one-state ``err ** 2`` does, and the move penalty
+    is one dot product per row, as in :func:`build_cstr_ocp`'s stage cost (a
+    matrix-vector product over the rows rounds differently).
 
     Raises:
         DivergenceError: integration produced a non-finite state.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    err = cfg.setpoint - s[1]
+    err = cfg.setpoint - s[..., 1]
     move = a - np.asarray(a_prev, dtype=float)
-    r = -cfg.w_track * err**2 - float(cfg.w_move @ move**2)
+    r = -cfg.w_track * np.float_power(err, 2) - (cfg.w_move @ move[..., None] ** 2)[..., 0]
     s_next = cstr_discrete(cfg, s, a)
-    if not np.all(np.isfinite(s_next)):
-        raise DivergenceError("reactor integration diverged")
-    if s_next[0] < 0.0 or s_next[1] < 0.0:
-        log.info("clipped negative concentration %s to 0", s_next[:2])
-        s_next = s_next.copy()
-        s_next[:2] = np.maximum(s_next[:2], 0.0)
-    return float(r), s_next
+    finite = np.isfinite(s_next).all(axis=-1)
+    if not finite.all():
+        where = "" if s.ndim == 1 else f" in row {int(np.argmin(finite))}"
+        raise DivergenceError(f"reactor integration diverged{where}")
+    conc = s_next[..., :2]
+    if np.any(conc < 0.0):
+        log.info("clipped negative concentration %s to 0", conc)
+        conc[...] = np.maximum(conc, 0.0)
+    return r, s_next
 
 
 class CSTREnv:
     """Reactor environment; initial states uniform in a (possibly degenerate)
-    box, previous input tracked internally for the move penalty."""
+    box, previous input tracked internally for the move penalty.
+
+    ``reset`` and ``step`` take one state with one generator, or a stack of
+    states (B, 4) with one generator per row, which steps in one
+    :func:`cstr_step` call; the reactor draws no noise.
+    """
 
     n = 4
     m = 2
@@ -338,9 +377,10 @@ class CSTREnv:
         self.cfg = cfg
         self._a_prev = cfg.reference_input.copy()
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._a_prev = self.cfg.reference_input.copy()
-        return rng.uniform(self.cfg.x0_lo, self.cfg.x0_hi)
+    def reset(self, rng) -> np.ndarray:
+        s0 = _per_row(rng, lambda g: g.uniform(self.cfg.x0_lo, self.cfg.x0_hi))
+        self._a_prev = np.broadcast_to(self.cfg.reference_input, s0.shape[:-1] + (2,)).copy()
+        return s0
 
     def step(self, s, a, rng):
         r, s_next = cstr_step(self.cfg, s, a, self._a_prev)

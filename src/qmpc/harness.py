@@ -348,6 +348,30 @@ class GreedyValuePolicy:
         return a
 
 
+def epsilon_greedy_policy(
+    cfg: CSTRConfig,
+    vmodel: ValueModel | None,
+    grid: np.ndarray,
+    gamma: float,
+    epsilon: float,
+    rng: np.random.Generator,
+):
+    """Value training's exploration policy for one episode: a uniform-random
+    grid action with probability epsilon (always, without a model), else the
+    greedy grid action; ``rng`` is the episode's generator."""
+    a_prev = cfg.reference_input.copy()
+
+    def explore(s):
+        nonlocal a_prev
+        if vmodel is None or rng.uniform() < epsilon:
+            a_prev = grid[rng.integers(grid.shape[0])]
+        else:
+            a_prev = greedy_value_action(cfg, vmodel, s, a_prev, grid, gamma)
+        return a_prev
+
+    return explore
+
+
 def train_value_model(
     cfg: CSTRConfig, gamma: float, training, seed: int
 ) -> tuple[ValueModel, dict]:
@@ -356,8 +380,10 @@ def train_value_model(
     Rounds of fitted value iteration: roll episodes under an epsilon-greedy
     grid policy against the current model (uniform-random actions in round 0),
     regress discounted returns-to-go on quadratic state features, bootstrap
-    episode tails with the previous round's model.  Aborts when the final fit
-    RMSE exceeds the configured threshold.
+    episode tails with the previous round's model.  A round's episodes step
+    in lockstep, one batched reactor step for all of them; each decides its
+    actions one state at a time from its own generator.  Aborts when the
+    final fit RMSE exceeds the configured threshold.
     """
     env = CSTREnv(cfg)
     grid = _action_grid(cfg, training.action_grid)
@@ -365,19 +391,12 @@ def train_value_model(
     info: dict = {"rounds": []}
     for rnd in range(training.rounds):
         states_all, returns_all = [], []
-        for ep in range(training.episodes):
-            rng = episode_rng(seed_int(seed, rnd), ep)
-            a_prev = cfg.reference_input.copy()
-
-            def explore(s):
-                nonlocal a_prev
-                if vmodel is None or rng.uniform() < training.epsilon:
-                    a_prev = grid[rng.integers(grid.shape[0])]
-                else:
-                    a_prev = greedy_value_action(cfg, vmodel, s, a_prev, grid, gamma)
-                return a_prev
-
-            traj = rollout(env, explore, training.T, seed, rng=rng)
+        rngs = [episode_rng(seed_int(seed, rnd), ep) for ep in range(training.episodes)]
+        policies = [
+            epsilon_greedy_policy(cfg, vmodel, grid, gamma, training.epsilon, rng) for rng in rngs
+        ]
+        trajs = rollout(env, policies, training.T, seed, rng=rngs)
+        for traj in trajs:
             G = gamma * vmodel.value(traj.steps[-1].s_next) if vmodel is not None else 0.0
             rewards = traj.rewards
             returns = np.empty(training.T)
@@ -415,8 +434,7 @@ class _FixedStart:
         self.n, self.m = env.n, env.m
 
     def reset(self, rng):
-        self.env.reset(rng)
-        return self.x0.copy()
+        return np.broadcast_to(self.x0, np.shape(self.env.reset(rng))).copy()
 
     def step(self, s, a, rng):
         return self.env.step(s, a, rng)

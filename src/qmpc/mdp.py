@@ -1,16 +1,18 @@
 """Core MDP machinery: transitions, trajectories, rollouts, and return estimates.
 
 An environment exposes state dimension ``n``, action dimension ``m``,
-``reset(rng) -> s0`` and ``step(s, a, rng) -> (reward, s_next)``.  Rewards are
-produced by the environment; agents never recompute them.  All randomness flows
-through numpy generators derived from ``episode_rng(master_seed, episode)`` so
-that rollouts are reproducible and independent across episodes.
+``reset(rngs) -> S0`` and ``step(S, A, rngs) -> (rewards, S_next)`` on a stack
+of B episodes: states (B, n), actions (B, m), rewards (B,) and one generator
+per row.  Rewards are produced by the environment; agents never recompute
+them.  All randomness flows through numpy generators derived from
+``episode_rng(master_seed, episode)`` so that rollouts are reproducible and
+independent across episodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -18,16 +20,17 @@ from .errors import DimensionError, DivergenceError
 
 
 class Environment(Protocol):
-    """Minimal interface a simulated environment must provide."""
+    """Minimal interface a simulated environment must provide: a stack of
+    episodes, row b drawing its randomness from ``rngs[b]`` alone."""
 
     n: int
     m: int
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray: ...
+    def reset(self, rngs: Sequence[np.random.Generator]) -> np.ndarray: ...
 
     def step(
-        self, s: np.ndarray, a: np.ndarray, rng: np.random.Generator
-    ) -> tuple[float, np.ndarray]: ...
+        self, S: np.ndarray, A: np.ndarray, rngs: Sequence[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -129,47 +132,82 @@ def episode_rng(master_seed: int, episode: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(episode)]))
 
 
+Policy = Callable[[np.ndarray], np.ndarray]
+
+
 def rollout(
     env: Environment,
-    policy: Callable[[np.ndarray], np.ndarray],
+    policy: Policy | Sequence[Policy],
     T: int,
     seed: int,
-    rng: np.random.Generator | None = None,
-) -> Trajectory:
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+) -> Trajectory | list[Trajectory]:
     """Run ``policy`` in ``env`` for exactly ``T`` steps.
+
+    A sequence of B policies runs B episodes in lockstep: each step asks every
+    policy for its action, in episode order, and then steps the whole stack in
+    one ``env.step`` call.  Episode b keeps its own policy and its own
+    generator, which it consumes in the order a lone rollout would, so its
+    trajectory is the one a rollout of that policy and generator gives.  One
+    policy is the case B = 1.
 
     Args:
         env: environment instance; its episode state is re-initialized by
             ``reset``, so a single instance may be reused sequentially.
-        policy: deterministic map from state to action.
+        policy: deterministic map from state to action, or one per episode.
         T: number of transitions, at least 1.
-        seed: master seed recorded on the trajectory.
-        rng: optional pre-built generator (used by callers that manage their
-            own seed derivation); defaults to ``episode_rng(seed, 0)``.
+        seed: master seed recorded on the trajectories.
+        rng: optional pre-built generator, or one per episode (for callers
+            that manage their own seed derivation); episode b defaults to
+            ``episode_rng(seed, b)``.
+
+    Returns:
+        The trajectory, or the list of B trajectories for a policy sequence.
 
     Raises:
-        DimensionError: the policy returned an action of the wrong length.
-        DivergenceError: a non-finite state appeared, with the step index.
+        DimensionError: a policy returned an action of the wrong length.
+        DivergenceError: a non-finite state appeared, with the episode and
+            the step index.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    lockstep = not callable(policy)
+    policies = list(policy) if lockstep else [policy]
+    B = len(policies)
     if rng is None:
-        rng = episode_rng(seed, 0)
-    s = np.asarray(env.reset(rng), dtype=float)
-    steps = []
+        rngs = [episode_rng(seed, b) for b in range(B)]
+    else:
+        rngs = list(rng) if lockstep else [rng]
+    if B < 1 or len(rngs) != B:
+        raise ValueError(f"{B} policies and {len(rngs)} generators: need one of each per episode")
+    S = np.asarray(env.reset(rngs), dtype=float)
+    if S.shape != (B, env.n):
+        raise DimensionError(f"reset returned states of shape {S.shape}, expected ({B}, {env.n})")
+    steps = [[] for _ in range(B)]
     for t in range(T):
-        a = np.asarray(policy(s), dtype=float)
-        if a.shape != (env.m,):
-            raise DimensionError(
-                f"policy returned action of shape {a.shape}, expected ({env.m},) at step {t}"
-            )
-        r, s_next = env.step(s, a, rng)
-        s_next = np.asarray(s_next, dtype=float)
-        if not np.all(np.isfinite(s_next)):
-            raise DivergenceError(f"non-finite state at step {t}", step=t)
-        steps.append(Transition(s=s, a=a, r=float(r), s_next=s_next))
-        s = s_next
-    return Trajectory(steps=tuple(steps), seed=int(seed))
+        A = np.empty((B, env.m))
+        for b, (pi, s) in enumerate(zip(policies, S)):
+            a = np.asarray(pi(s), dtype=float)
+            if a.shape != (env.m,):
+                raise DimensionError(
+                    f"policy returned action of shape {a.shape}, expected ({env.m},) "
+                    f"in episode {b} at step {t}"
+                )
+            A[b] = a
+        try:
+            R, S_next = env.step(S, A, rngs)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} at step {t}", step=t) from exc
+        S_next = np.asarray(S_next, dtype=float)
+        finite = np.isfinite(S_next).all(axis=1)
+        if not finite.all():
+            b = int(np.argmin(finite))
+            raise DivergenceError(f"non-finite state in episode {b} at step {t}", step=t)
+        for b, episode in enumerate(steps):
+            episode.append(Transition(s=S[b], a=A[b], r=float(R[b]), s_next=S_next[b]))
+        S = S_next
+    trajs = [Trajectory(steps=tuple(episode), seed=int(seed)) for episode in steps]
+    return trajs if lockstep else trajs[0]
 
 
 def discounted_return(traj: Trajectory, gamma: float) -> float:
@@ -196,19 +234,15 @@ def estimate_J(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the discounted objective under ``policy``.
 
-    Returns the sample mean over ``episodes`` independent seeded rollouts and
-    the standard error (sample std / sqrt(episodes); zero for one episode).
+    The episodes run in lockstep, episode ``ep`` on ``episode_rng(seed, ep)``,
+    so ``policy`` must be a stateless map.  Returns the sample mean over
+    ``episodes`` independent seeded rollouts and the standard error (sample
+    std / sqrt(episodes); zero for one episode).
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    returns = np.empty(episodes)
-    for ep in range(episodes):
-        try:
-            traj = rollout(env, policy, T, seed, rng=episode_rng(seed, ep))
-        except DivergenceError as exc:
-            raise DivergenceError(f"episode {ep}: {exc}", step=exc.step) from exc
-        returns[ep] = discounted_return(traj, gamma)
-    return mean_stderr(returns)
+    trajs = rollout(env, [policy] * episodes, T, seed)
+    return mean_stderr(np.array([discounted_return(traj, gamma) for traj in trajs]))
 
 
 def mean_stderr(returns: np.ndarray) -> tuple[float, float]:

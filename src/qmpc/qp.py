@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionError
 
@@ -75,6 +74,15 @@ def _solve_kkt(H, A, g, b):
         return sol[:nz], sol[nz:], np.inf
     resid = float(np.abs(K @ sol - rhs).max())
     return sol[:nz], sol[nz:], resid / (1.0 + float(np.abs(rhs).max()))
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call: phase 1 is the
+    package's one use of ``scipy.optimize``, and most runs never reach it, so
+    ``import qmpc`` does not pay for importing it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _phase1_point(Aineq, bineq):

@@ -79,16 +79,16 @@ def make_scalar_ocp(a=0.8, b=0.5, q=1.0, r=0.2, gamma=0.9, H=3, P=None, u_lo=Non
 
 
 class StaticEnv:
-    """s' = s, r = 1: the simplest fixed-point environment."""
+    """s' = s, r = 1: the simplest fixed-point environment (stacked protocol)."""
 
     n = 1
     m = 1
 
-    def reset(self, rng):
-        return np.zeros(1)
+    def reset(self, rngs):
+        return np.zeros((len(rngs), 1))
 
-    def step(self, s, a, rng):
-        return 1.0, np.asarray(s, dtype=float)
+    def step(self, S, A, rngs):
+        return np.ones(len(S)), np.asarray(S, dtype=float)
 
 
 @pytest.fixture(scope="session")

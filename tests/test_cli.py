@@ -157,6 +157,18 @@ def test_installed_entry_point_smoke(tmp_path):
     assert "OK" in proc.stdout
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # the QP's phase 1 imports scipy.optimize's linprog at its first call
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qmpc, qmpc.qp; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')), "
+         "'linprog' in vars(qmpc.qp))"],
+        capture_output=True, text=True, timeout=120, env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "qmpc.cli", "validate", "--config", str(LQ_CONFIG)],

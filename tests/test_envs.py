@@ -408,6 +408,7 @@ def test_reactor_kernel_matches_frozen_reference_bit_for_bit():
         *((x, action_grid(cfg)) for x in X[:10]),  # the greedy 5x5 action grid
         (X[:5], U[:5]),  # an H=5 horizon
         (X[:6].reshape(2, 3, 4), U[:3]),  # two leading axes, inputs broadcast
+        (X[:15].reshape(3, 5, 4), U[:15].reshape(3, 5, 2)),  # three H=5 horizons
         (Xp, Up), *zip(Xp[:20], Up[:20]),
         (edge, U[:3]), *zip(edge, U[:3]),
     ]
@@ -416,6 +417,70 @@ def test_reactor_kernel_matches_frozen_reference_bit_for_bit():
             assert_same_bits(cstr_discrete(cfg, s, a), ref_cstr_discrete(cfg, s, a))
             for got, want in zip(cstr_discrete_jac(cfg, s, a), ref_cstr_discrete_jac(cfg, s, a)):
                 assert_same_bits(got, want)
+
+
+def test_stacked_lq_steps_equal_one_state_steps_bit_for_bit():
+    cfg = LQEnvConfig(A=[[0.9, 0.3], [-0.2, 0.8]], B=[[0.1], [1.0]],
+                      Qc=[[1.0, 0.2], [0.2, 0.7]], Rc=[[2.0]], noise_std=[0.1, 0.3],
+                      x0_lo=[-1.0, -2.0], x0_hi=[1.0, 2.0])
+    env, B = LQEnv(cfg), 9
+    S0 = env.reset([np.random.default_rng(i) for i in range(B)])
+    assert S0.shape == (B, 2)
+    for i in range(B):
+        np.testing.assert_array_equal(S0[i], env.reset(np.random.default_rng(i)))
+    A = np.random.default_rng(99).normal(size=(B, 1))
+    R, S1 = env.step(S0, A, [np.random.default_rng(10 + i) for i in range(B)])
+    assert R.shape == (B,) and S1.shape == (B, 2)
+    for i in range(B):
+        # the one-state form perfbench's lq_long_horizon steps with
+        r, s = env.step(S0[i], A[i], np.random.default_rng(10 + i))
+        assert R[i] == r
+        assert S1[i].tobytes() == s.tobytes()
+
+
+def test_stacked_cstr_steps_equal_one_state_steps_bit_for_bit(caplog):
+    cfg = make_cstr_config()
+    rng = np.random.default_rng(12)
+    # c_B whose tracking error pow squares differently from the product
+    c_B = rng.uniform(cfg.state_lo[1], cfg.state_hi[1], 200_000)
+    err = cfg.setpoint - c_B
+    c_B = c_B[np.float_power(err, 2) != err * err][:20]
+    B = len(c_B) + 1
+    assert B > 5
+    S = rng.uniform(cfg.state_lo, cfg.state_hi, size=(B, 4))
+    S[:-1, 1] = c_B
+    A = rng.uniform(cfg.input_lo, cfg.input_hi, size=(B, 2))
+    A_prev = rng.uniform(cfg.input_lo, cfg.input_hi, size=(B, 2))
+    S[-1], A[-1] = [-0.01, -0.01, 130.0, 130.0], [0.0, -4500.0]  # clipped to zero
+    with caplog.at_level(logging.INFO, logger="qmpc.envs"):
+        R, S1 = cstr_step(cfg, S, A, A_prev)
+    assert "clipped negative concentration" in caplog.text
+    assert R.shape == (B,) and S1.shape == (B, 4)
+    for i in range(B):
+        r, s = cstr_step(cfg, S[i], A[i], A_prev[i])
+        assert R[i] == r
+        assert S1[i].tobytes() == s.tobytes()
+    np.testing.assert_array_equal(S1[-1, :2], [0.0, 0.0])
+    # the environment: a stacked reset and two steps against one-state episodes
+    env = CSTREnv(cfg)
+    gens = [np.random.default_rng(i) for i in range(3)]
+    S0 = env.reset(gens)
+    R1, S1 = env.step(S0, A[:3], gens)
+    R2, _ = env.step(S1, A[3:6], gens)
+    for i in range(3):
+        s0 = env.reset(np.random.default_rng(i))
+        assert S0[i].tobytes() == s0.tobytes()
+        r1, s1 = env.step(s0, A[i], None)
+        r2, _ = env.step(s1, A[3 + i], None)
+        assert (R1[i], R2[i]) == (r1, r2)
+
+
+def test_stacked_step_divergence_names_the_row():
+    cfg = make_cstr_config()
+    S = np.array([X_SS, [0.8, 0.4, 1e4, 130.0], X_SS])
+    A = np.array([A_SS, [18.0, -4500.0], A_SS])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="row 1"):
+        cstr_step(cfg, S, A, A)
 
 
 def test_step_clips_negative_concentrations_to_zero(caplog):

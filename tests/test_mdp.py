@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qmpc.envs import LQEnv, LQEnvConfig
+from qmpc import harness
+from qmpc.envs import CSTREnv, LQEnv, LQEnvConfig
 from qmpc.errors import DimensionError, DivergenceError
 from qmpc.mdp import (
     TabularMDP,
@@ -15,7 +16,12 @@ from qmpc.mdp import (
     estimate_J,
     rollout,
 )
-from tests.conftest import A2, B2, Q2, R2, StaticEnv
+from qmpc.rl import ValueModel
+from tests.conftest import A2, B2, Q2, R2, StaticEnv, make_cstr_config
+
+
+# Toy environments follow the stacked protocol rollout drives: states (B, n),
+# actions (B, m), rewards (B,) and one generator per row.
 
 
 class CountingEnv:
@@ -24,11 +30,11 @@ class CountingEnv:
     n = 1
     m = 1
 
-    def reset(self, rng):
-        return np.zeros(1)
+    def reset(self, rngs):
+        return np.zeros((len(rngs), 1))
 
-    def step(self, s, a, rng):
-        return float(s[0]), s + 1.0
+    def step(self, S, A, rngs):
+        return S[:, 0].copy(), S + 1.0
 
 
 class NoisyRewardEnv:
@@ -40,11 +46,29 @@ class NoisyRewardEnv:
     def __init__(self, noise=0.5):
         self.noise = noise
 
-    def reset(self, rng):
-        return np.zeros(1)
+    def reset(self, rngs):
+        return np.zeros((len(rngs), 1))
 
-    def step(self, s, a, rng):
-        return 1.0 + self.noise * rng.standard_normal(), np.asarray(s, dtype=float)
+    def step(self, S, A, rngs):
+        noise = np.array([g.standard_normal() for g in rngs])
+        return 1.0 + self.noise * noise, np.asarray(S, dtype=float)
+
+
+class BlowUp:
+    """s' = s + 1 until s exceeds 1.5, then non-finite; starts at ``starts``
+    (one per episode, cycled)."""
+
+    n = 1
+    m = 1
+
+    def __init__(self, starts=(0.0,)):
+        self.starts = starts
+
+    def reset(self, rngs):
+        return np.resize(np.asarray(self.starts, dtype=float), (len(rngs), 1))
+
+    def step(self, S, A, rngs):
+        return np.zeros(len(S)), S + np.where(S > 1.5, np.inf, 1.0)
 
 
 def zero_policy(s):
@@ -97,21 +121,49 @@ def test_rollout_wrong_action_dimension():
 
 
 def test_rollout_divergence_names_step():
-    class BlowUp:
-        n = 1
-        m = 1
-
-        def reset(self, rng):
-            return np.zeros(1)
-
-        def step(self, s, a, rng):
-            if s[0] > 1.5:
-                return 0.0, s + np.array([np.inf])
-            return 0.0, s + 1.0
-
     with pytest.raises(DivergenceError, match="step 2") as exc:
         rollout(BlowUp(), zero_policy, T=5, seed=0)
     assert exc.value.step == 2
+
+
+def test_lockstep_divergence_names_episode_and_step():
+    # episodes 0 and 2 count up from -10 and stay finite; episode 1 passes 1.5
+    # at step 0 and turns non-finite at step 1
+    with pytest.raises(DivergenceError, match="episode 1 at step 1") as exc:
+        rollout(BlowUp(starts=(-10.0, 1.0, -10.0)), [zero_policy] * 3, T=5, seed=0)
+    assert exc.value.step == 1
+
+
+def test_lockstep_rollout_matches_lone_rollouts_bit_for_bit():
+    # 16 reactor episodes under value training's epsilon-greedy policy: each
+    # draws its start and its exploration from its own generator, and each
+    # greedy choice integrates the grid one state at a time
+    cfg = make_cstr_config()
+    grid = harness._action_grid(cfg, 5)
+    vmodel = ValueModel(n=4, weights=harness.default_terminal_weights(50.0, cfg.setpoint))
+    T, episodes = 12, 16
+
+    def policies_and_rngs():
+        rngs = [episode_rng(5, ep) for ep in range(episodes)]
+        return [harness.epsilon_greedy_policy(cfg, vmodel, grid, 0.98, 0.3, g) for g in rngs], rngs
+
+    policies, rngs = policies_and_rngs()
+    lockstep = rollout(CSTREnv(cfg), policies, T, seed=5, rng=rngs)
+    policies, rngs = policies_and_rngs()
+    lone = [rollout(CSTREnv(cfg), pi, T, seed=5, rng=g) for pi, g in zip(policies, rngs)]
+    assert len(lockstep) == episodes
+    for got, want in zip(lockstep, lone):
+        assert got.seed == want.seed and len(got) == len(want) == T
+        for a, b in zip(got.steps, want.steps):
+            for field in ("s", "a", "r", "s_next"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    # the episodes differ, and the policy sometimes explores and sometimes not
+    assert len({traj.steps[-1].s_next.tobytes() for traj in lockstep}) == episodes
+
+
+def test_rollout_checks_one_generator_per_policy():
+    with pytest.raises(ValueError, match="2 policies and 1 generators"):
+        rollout(StaticEnv(), [zero_policy] * 2, T=2, seed=0, rng=[episode_rng(0, 0)])
 
 
 def test_rollout_requires_positive_T():
@@ -196,16 +248,29 @@ def test_estimate_J_noisy_lq_matches_noiseless_control_run(lq2):
     assert abs(m_noisy - m_clean) <= 3.0 * se
 
 
+def test_estimate_J_equals_lone_seeded_rollouts(lq2):
+    A, B, Qc, Rc, gamma, P, K = lq2
+    env = LQEnv(LQEnvConfig(A=A, B=B, Qc=Qc, Rc=Rc, noise_std=[0.05, 0.02],
+                            x0_lo=[-1, -1], x0_hi=[1, 1]))
+    policy = lambda s: -K @ s
+    returns = np.array([
+        discounted_return(rollout(env, policy, 15, 4, rng=episode_rng(4, ep)), gamma)
+        for ep in range(7)
+    ])
+    mean, stderr = estimate_J(env, policy, episodes=7, T=15, gamma=gamma, seed=4)
+    assert (mean, stderr) == (float(np.mean(returns)), float(np.std(returns, ddof=1) / np.sqrt(7)))
+
+
 def test_estimate_J_propagates_divergence_with_episode():
     class DivergingEnv:
         n = 1
         m = 1
 
-        def reset(self, rng):
-            return np.array([rng.uniform()])
+        def reset(self, rngs):
+            return np.array([[g.uniform()] for g in rngs])
 
-        def step(self, s, a, rng):
-            return 0.0, s * np.inf
+        def step(self, S, A, rngs):
+            return np.zeros(len(S)), S * np.inf
 
     with pytest.raises(DivergenceError, match="episode 0"):
         estimate_J(DivergingEnv(), zero_policy, episodes=2, T=3, gamma=0.9, seed=0)
