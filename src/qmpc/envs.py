@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .mdp import Trajectory
-from .ocp import OCPSpec, ParameterVector, _matvec, _tile
+from .ocp import OCPSpec, ParameterVector, _matvec, _quad, _tile
 
 log = logging.getLogger(__name__)
 
@@ -85,20 +85,26 @@ def _per_row(rng, draw):
     return np.array([draw(g) for g in rng])
 
 
-def lq_step(cfg: LQEnvConfig, s: np.ndarray, a: np.ndarray, rng: np.random.Generator):
-    """One step: s' = As + Ba + w, r = -(s'Qc s + a'Rc a)."""
-    r = -(float(s @ cfg.Qc @ s + a @ cfg.Rc @ a))
-    s_next = cfg.A @ s + cfg.B @ a + cfg.noise_std * rng.standard_normal(s.size)
-    return r, s_next
+def lq_step(cfg: LQEnvConfig, s, a, rng):
+    """One step: s' = As + Ba + w, r = -(s'Qc s + a'Rc a), for one state with
+    one generator or a stack of states (B, n) with one generator per row.
+
+    The stacked products round every row as they round one state (a plain
+    batched product, S @ A.T, would not), and each row draws its noise from
+    its own generator, in row order.
+    """
+    s, a = np.asarray(s, float), np.asarray(a, float)
+    r = -(_quad(s, cfg.Qc) + _quad(a, cfg.Rc))
+    noise = _per_row(rng, lambda g: g.standard_normal(s.shape[-1]))
+    return r, _matvec(cfg.A, s) + _matvec(cfg.B, a) + cfg.noise_std * noise
 
 
 class LQEnv:
     """Environment wrapper over lq_step; initial states uniform in a box.
 
     ``reset`` and ``step`` take one state with one generator, or a stack of
-    states (B, n) with one generator per row.  A stack steps row by row: each
-    row draws its own noise, and a batched product would round the rows
-    differently from one-state calls (BLAS gemv against ddot).
+    states (B, n) with one generator per row; a stack steps in one lq_step
+    call.
     """
 
     def __init__(self, cfg: LQEnvConfig):
@@ -109,11 +115,7 @@ class LQEnv:
         return _per_row(rng, lambda g: g.uniform(self.cfg.x0_lo, self.cfg.x0_hi))
 
     def step(self, s, a, rng):
-        s, a = np.asarray(s, float), np.asarray(a, float)
-        if s.ndim == 1:
-            return lq_step(self.cfg, s, a, rng)
-        rows = [lq_step(self.cfg, *row) for row in zip(s, a, rng)]
-        return np.array([r for r, _ in rows]), np.array([x for _, x in rows])
+        return lq_step(self.cfg, s, a, rng)
 
 
 @dataclass(frozen=True)

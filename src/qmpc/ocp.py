@@ -205,13 +205,22 @@ class OCPSpec:
         w.flags.writeable = False
         return w, wH
 
+    @cached_property
+    def _plans(self) -> dict:
+        """What a solver derives from the spec's structure alone, kept here by
+        the solver's own key so it is derived once per spec; a
+        ``dataclasses.replace``d spec starts empty."""
+        return {}
+
 
 def _tile(batch: tuple, *blocks) -> tuple:
     """The same blocks, each filled into a new array, for every stage of ``batch``."""
-    out = tuple(np.empty(batch + np.shape(b)) for b in blocks)
-    for t, b in zip(out, blocks):
+    out = []
+    for b in blocks:
+        t = np.empty(batch + b.shape)
         t[...] = b
-    return out
+        out.append(t)
+    return tuple(out)
 
 
 def _matvec(W: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -219,11 +228,10 @@ def _matvec(W: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (W @ v[..., None])[..., 0]
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major vec of the outer product a b' for every stage of a (..., k),
-    b (..., l): shape (..., k*l)."""
-    out = a[..., :, None] * b[..., None, :]
-    return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+def _quad(v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """v' W v for every stage of v (..., k), each rounded as v @ W @ v of one
+    stage."""
+    return ((v[..., None, :] @ W) @ v[..., :, None])[..., 0, 0]
 
 
 def build_lq_ocp(
@@ -272,74 +280,87 @@ def build_lq_ocp(
     phi0 = ParameterVector.from_segments({"A": A, "B": B, "Q": Qc, "R": Rc, "P": P_term})
     p = phi0.size
     sl = {name: slice(*phi0.layout[name]) for name in phi0.layout}
-
     shape = {"A": (n, n), "B": (n, m), "Q": (n, n), "R": (m, m), "P": (n, n)}
+    last = [(None, None)]  # (parameter bytes, their matrices) of the last read
 
-    def mat(pv, name):
-        """One matrix, read back from the parameter vector."""
-        return pv.phi[sl[name]].reshape(shape[name])
+    def mats(pv):
+        """The matrices at pv, and the symmetric sums Q + Q', R + R', P + P'
+        the derivatives use, read back from the parameter vector once per
+        parameter value (a copy, so no later write to a vector reaches them).
+        They are functions of phi alone, so its bytes are the whole key."""
+        key = pv.phi.tobytes()
+        read, M = last[0]
+        if read != key:
+            phi = pv.phi.copy()
+            M = {name: phi[sl[name]].reshape(shape[name]) for name in shape}
+            M.update(Q2=M["Q"] + M["Q"].T, R2=M["R"] + M["R"].T, P2=M["P"] + M["P"].T)
+            last[0] = (key, M)
+        return M
 
     # stacked matrix products round every stage exactly as x @ Q @ x and S @ x
     # do for one stage, which X @ S.T, einsum and elementwise sums do not, so
     # batching the stages leaves every LQ result unchanged
-    def quad(v, W):
-        return ((v[..., None, :] @ W) @ v[..., :, None])[..., 0, 0]
-
     def stage_cost(x, u, pv):
-        Q, R = mat(pv, "Q"), mat(pv, "R")
-        return quad(x, Q) + quad(u, R)
+        M = mats(pv)
+        return _quad(x, M["Q"]) + _quad(u, M["R"])
 
     def stage_grad(x, u, pv):
-        Q, R = mat(pv, "Q"), mat(pv, "R")
-        return _matvec(Q + Q.T, x), _matvec(R + R.T, u)
+        M = mats(pv)
+        return _matvec(M["Q2"], x), _matvec(M["R2"], u)
 
     def stage_hess(x, u, pv):
-        Q, R = mat(pv, "Q"), mat(pv, "R")
-        return _tile(x.shape[:-1], Q + Q.T, np.zeros((n, m)), R + R.T)
+        M = mats(pv)
+        return _tile(x.shape[:-1], M["Q2"], np.zeros((n, m)), M["R2"])
 
-    def vec(**blocks):
-        """The (..., p) vector holding each named segment's vec'd block."""
-        batch = np.broadcast_shapes(*(b.shape[:-1] for b in blocks.values()))
+    # every phi-derivative is linear in one matrix, so each is a sum of outer
+    # products in that matrix's segment of the (..., p) vector
+    def vjp(**segments):
+        """The (..., p) vector whose named segments hold the row-major vec of
+        sum_i a_i b_i' over their (a_i, b_i) pairs; zero elsewhere."""
+        blocks = {}
+        for name, ((a, b), *rest) in segments.items():
+            block = a[..., :, None] * b[..., None, :]
+            for a, b in rest:
+                block += a[..., :, None] * b[..., None, :]
+            blocks[name] = block
+        shapes = {block.shape[:-2] for block in blocks.values()}
+        batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         out = np.zeros(batch + (p,))
         for name, block in blocks.items():
-            out[..., sl[name]] = block
+            out[..., sl[name]] = block.reshape(block.shape[:-2] + (-1,))
         return out
 
-    # every phi-derivative is linear in one matrix, so each is an outer product
     def stage_phi(x, u, pv):
-        return vec(Q=_outer(x, x), R=_outer(u, u))
+        return vjp(Q=[(x, x)], R=[(u, u)])
 
     def stage_grad_phi_vp(x, u, pv, dx, du):
-        return vec(Q=_outer(dx, x) + _outer(x, dx), R=_outer(du, u) + _outer(u, du))
+        return vjp(Q=[(dx, x), (x, dx)], R=[(du, u), (u, du)])
 
     def terminal_cost(x, pv):
-        P = mat(pv, "P")
-        return float(x @ P @ x)
+        return float(x @ mats(pv)["P"] @ x)
 
     def terminal_grad(x, pv):
-        P = mat(pv, "P")
-        return (P + P.T) @ x
+        return mats(pv)["P2"] @ x
 
     def terminal_hess(x, pv):
-        P = mat(pv, "P")
-        return P + P.T
+        return mats(pv)["P2"].copy()
 
     def terminal_phi(x, pv):
-        return vec(P=_outer(x, x))
+        return vjp(P=[(x, x)])
 
     def terminal_grad_phi_vp(x, pv, dx):
-        return vec(P=_outer(dx, x) + _outer(x, dx))
+        return vjp(P=[(dx, x), (x, dx)])
 
     def dynamics_jac(x, u, pv):
-        Am, Bm = mat(pv, "A"), mat(pv, "B")
-        F = _matvec(Am, x) + _matvec(Bm, u)
-        return (F, *_tile(F.shape[:-1], Am, Bm))
+        M = mats(pv)
+        F = _matvec(M["A"], x) + _matvec(M["B"], u)
+        return (F, *_tile(F.shape[:-1], M["A"], M["B"]))
 
     def dynamics_phi_vp(x, u, pv, lam):
-        return vec(A=_outer(lam, x), B=_outer(lam, u))
+        return vjp(A=[(lam, x)], B=[(lam, u)])
 
     def dynamics_jac_phi_vp(x, u, pv, lam, dx, du):
-        return vec(A=_outer(lam, dx), B=_outer(lam, du))
+        return vjp(A=[(lam, dx)], B=[(lam, du)])
 
     def dynamics_hess_vp(x, u, pv, lam):
         return np.zeros(lam.shape[:-1] + (n + m, n + m))

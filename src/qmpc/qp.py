@@ -141,10 +141,13 @@ def qp_solve(
         )
 
     # Degenerate all-zero rows carry no direction; they are either trivially
-    # satisfiable or certify infeasibility outright.
-    live = np.linalg.norm(Ain, axis=1) >= ZERO_ROW_TOL
-    if (bin_[~live] < -FEAS_TOL).any():
-        return fail("infeasible")
+    # satisfiable or certify infeasibility outright.  Without rows there is
+    # nothing to scan.
+    live = np.zeros(0, dtype=bool)
+    if n_in:
+        live = np.linalg.norm(Ain, axis=1) >= ZERO_ROW_TOL
+        if (bin_[~live] < -FEAS_TOL).any():
+            return fail("infeasible")
 
     if nz == 0:
         # nothing to choose (a fully pinned horizon): the zero rows above
@@ -173,7 +176,7 @@ def qp_solve(
                 x = x_w
                 work = warm
     if x is None:
-        x_free, _, resid = _solve_kkt(H, np.zeros((0, nz)), g, np.zeros(0))
+        x_free, _, resid = _solve_kkt(H, Ain[:0], g, bin_[:0])
         if resid <= 1e3 * FEAS_TOL and np.isfinite(x_free).all():
             if not live.any():
                 # no row can block or leave: the free optimum is the solution

@@ -33,9 +33,9 @@ from .solver import (
     KKTPoint,
     SolverSettings,
     _eq_multipliers,
-    _jacobians,
     _lagrangian_hessian,
-    _null_space,
+    _linearize,
+    _plan,
     _Stacker,
     mpc_policy,
     mpc_qvalue,
@@ -74,6 +74,8 @@ def _check_converged(kkt: KKTPoint):
 def _regularity(kkt: KKTPoint) -> str:
     """Strict complementarity check around the reported active set, on the
     inequality values the solver computed at the KKT point."""
+    if not kkt.h.size:  # no row can be weakly active
+        return "strict"
     active = np.zeros(kkt.h.size, dtype=bool)
     active[kkt.active_set] = True
     weak = np.any(kkt.mu[active] < DEGENERACY_TOL) or np.any(np.abs(kkt.h[~active]) < DEGENERACY_TOL)
@@ -89,10 +91,10 @@ def _lagrangian_phi_grad(st: _Stacker, phi, z, s, lam, direction=None):
     phi-derivative callback that is None contributes nothing.
     """
     spec = st.spec
-    H = spec.H
+    H, n = spec.H, spec.n
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
-    X, U, Lam = xs[:-1], st.inputs(z), lam[st.x_idx]
+    X, U, Lam = xs[:-1], st.inputs(z), lam.reshape(H, n)
     if direction is None:
         terminal = spec.terminal_phi(xs[H], phi)
         terms = [(w[:, None], spec.stage_phi, (X, U, phi)),
@@ -100,19 +102,21 @@ def _lagrangian_phi_grad(st: _Stacker, phi, z, s, lam, direction=None):
     else:
         dz, dlam = direction
         k = dz.shape[0]
-        # dx_0 = 0: x_0 = s is data
-        dxs = np.concatenate([np.zeros((k, 1, spec.n)), dz[:, st.x_idx]], axis=1)
-        dX, dU = dxs[:, :-1], dz[:, st.u_idx]
-        X, U, Lam = (np.broadcast_to(a, (k,) + a.shape) for a in (X, U, Lam))
-        terminal = np.array([spec.terminal_grad_phi_vp(xs[H], phi, dx) for dx in dxs[:, H]])
+        dZx = dz[:, : st.n_dyn].reshape(k, H, n)  # dx_1..dx_H
+        dX = np.zeros((k, H, n))  # dx_0 = 0: x_0 = s is data
+        dX[:, 1:] = dZx[:, :-1]
+        dU = dz[:, st.n_dyn :].reshape(k, H, spec.m)
+        # the point, repeated for each direction
+        X, U, Lam = X[None].repeat(k, 0), U[None].repeat(k, 0), Lam[None].repeat(k, 0)
+        terminal = np.array([spec.terminal_grad_phi_vp(xs[H], phi, dx) for dx in dZx[:, -1]])
         terms = [(w[:, None], spec.stage_grad_phi_vp, (X, U, phi, dX, dU)),
                  (-1.0, spec.dynamics_jac_phi_vp, (X, U, phi, Lam, dX, dU)),
-                 (-1.0, spec.dynamics_phi_vp, (X, U, phi, dlam[:, st.x_idx]))]
+                 (-1.0, spec.dynamics_phi_vp, (X, U, phi, dlam.reshape(k, H, n)))]
     grad = wH * terminal
     for scale, fn, args in terms:
         if fn is not None:
             # the stages are added in order
-            grad = grad + np.sum(scale * fn(*args), axis=-2)
+            grad = grad + np.add.reduce(scale * fn(*args), axis=-2)
     return grad
 
 
@@ -124,7 +128,7 @@ def grad_q_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) -> Sen
     of Q) and free solves alike (gradient of the optimal value).
     """
     _check_converged(kkt)
-    st = _Stacker(spec, kkt.pinned_a is not None)
+    st = _plan(spec, kkt.pinned_a is not None)
     return SensitivityResult(
         grad_value=_lagrangian_phi_grad(st, phi, kkt.z, kkt.s, kkt.lam),
         jac_action=None,
@@ -159,11 +163,10 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     _check_converged(kkt)
     if kkt.pinned_a is not None:
         raise QmpcError("policy Jacobian needs a free solve")
-    st = _Stacker(spec, False)
+    st = _plan(spec, False)
     z, s, lam = kkt.z, kkt.s, kkt.lam
-    C, Hj = _jacobians(st, kkt.jac)
+    C, Hj, Z = _linearize(st, kkt.jac)
     C_A = Hj[np.asarray(kkt.active_set, dtype=int)]
-    Z = _null_space(st, C)
     C_AZ = C_A @ Z
     regularity = _regularity(kkt)
     if C_A.size and np.linalg.matrix_rank(C_AZ) < C_A.shape[0]:
@@ -176,7 +179,9 @@ def jac_policy_wrt_params(spec: OCPSpec, phi: ParameterVector, kkt: KKTPoint) ->
     dz = Z @ v
     # E is zero on the state columns, where _eq_multipliers reads stationarity
     dlam = _eq_multipliers(st, C, HL @ dz + C_A.T @ dmu)
-    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, (dz.T, dlam.T))
+    # row-major, so the stage slices of each direction are contiguous views
+    directions = (np.ascontiguousarray(dz.T), np.ascontiguousarray(dlam.T))
+    jac = -_lagrangian_phi_grad(st, phi, z, s, lam, directions)
     return SensitivityResult(grad_value=None, jac_action=jac, regularity=regularity,
                              approximate=spec.dynamics_hess_vp is None)
 

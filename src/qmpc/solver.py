@@ -23,6 +23,7 @@ receding-horizon policy action u*_0 and its plan.  Both values are costs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class SolverSettings:
     def __post_init__(self):
         if self.max_sqp_iters < 0:  # solve_ocp needs one iterate to report
             raise ValueError("max_sqp_iters must be >= 0")
+
+
+_DEFAULT_SETTINGS = SolverSettings()
 
 
 @dataclass(frozen=True)
@@ -88,20 +92,39 @@ class SolveReport:
 
 
 class _Stacker:
-    """Index bookkeeping for the stacked decision vector and constraint rows."""
+    """The structure of a spec's stacked problem: the stage slices of the
+    decision vector and the flat positions of every stage block in the
+    dynamics Jacobian C, the inequality Jacobian Hj and the Lagrangian
+    Hessian HL.  It depends on the spec and the pin alone, so solves and
+    sensitivities take it from :func:`_plan`, which builds it once."""
 
     def __init__(self, spec: OCPSpec, pinned: bool):
         self.spec = spec
         H, n, m = spec.H, spec.n, spec.m
-        self.nz = H * n + H * m
+        nz = self.nz = H * n + H * m
         self.n_dyn = H * n
         self.free = self.n_dyn + (m if pinned else 0)  # first free-input column
         self.n_in_rows = H * spec.n_ineq
         # per stage k: x_idx[k] indexes x_{k+1} in z (and stage k's dynamics
         # rows), u_idx[k] u_k, in_rows[k] its inequality rows; x_0 = s is data
-        self.x_idx = np.arange(self.n_dyn).reshape(H, n)
-        self.u_idx = self.n_dyn + np.arange(H * m).reshape(H, m)
-        self.in_rows = np.arange(self.n_in_rows).reshape(H, spec.n_ineq)
+        x = self.x_idx = np.arange(self.n_dyn).reshape(H, n)
+        u = self.u_idx = self.n_dyn + np.arange(H * m).reshape(H, m)
+        rows = self.in_rows = np.arange(self.n_in_rows).reshape(H, spec.n_ineq)
+        # C holds -fx of the stages k >= 1 on (x_{k+1}, x_k) and -fu on
+        # (x_{k+1}, u_k); Hj holds hx and hu on the same columns
+        self.c_fx, self.c_fu = _flat(x[1:], x[:-1], nz), _flat(x, u, nz)
+        self.h_hx, self.h_hu = _flat(rows[1:], x[:-1], nz), _flat(rows, u, nz)
+        # HL holds the (x_k, u_k) blocks of the stages k >= 1, stage 0's u_0
+        # block (x_0 = s being data) and the terminal x_H block: no two overlap
+        xu = np.hstack([x[:-1], u[1:]])
+        self.hl_stage, self.hl_u0 = _flat(xu, xu, nz), _flat(u[:1], u[:1], nz)
+        self.hl_term = _flat(x[-1:], x[-1:], nz)
+        # the last results of _linearize and _lagrangian_hessian, with the
+        # bytes they were made from, and of _regularized, with its arguments:
+        # a linear model repeats its stage Jacobians, and a quadratic cost its
+        # Lagrangian Hessian, from iterate to iterate
+        self.last_lin = self.last_hess = (None, None)
+        self.last_reg = (None, None, None)
 
     def states(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
         """x_0..x_H as rows of an (H+1, n) array."""
@@ -113,9 +136,20 @@ class _Stacker:
         return z[self.n_dyn :].reshape(self.spec.H, self.spec.m)
 
 
-def _blocks(rows: np.ndarray, cols: np.ndarray):
-    """Index of the blocks M[rows[k]][:, cols[k]] of all stages k at once."""
-    return rows[:, :, None], cols[:, None, :]
+def _flat(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Flat positions, in a matrix of ncols columns, of the blocks
+    M[rows[k]][:, cols[k]] of all stages k, in the row-major order of their
+    (stages, rows, cols) stack."""
+    return (rows[:, :, None] * ncols + cols[:, None, :]).ravel()
+
+
+def _plan(spec: OCPSpec, pinned: bool) -> _Stacker:
+    """The spec's _Stacker for a free or a pinned first input, built at the
+    first call and kept on the spec (a replaced spec builds its own)."""
+    plan = spec._plans.get(pinned)
+    if plan is None:
+        plan = spec._plans[pinned] = _Stacker(spec, pinned)
+    return plan
 
 
 def _evaluate(st: _Stacker, phi, z, s):
@@ -126,16 +160,14 @@ def _evaluate(st: _Stacker, phi, z, s):
     spec = st.spec
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
-    X, us = xs[:-1], st.inputs(z)
+    X, us, xH = xs[:-1], st.inputs(z), xs[spec.H]
     # builtin sum adds the stages in order, whatever the horizon
-    F = sum(w * spec.stage_cost(X, us, phi))
-    F += wH * spec.terminal_cost(xs[spec.H], phi)
+    F = sum((w * spec.stage_cost(X, us, phi)).tolist()) + wH * spec.terminal_cost(xH, phi)
     lx, lu = spec.stage_grad(X, us, phi)
     # z holds x_1..x_H, then u_0..u_{H-1}; adding 0.0 turns -0.0 into +0.0,
     # as accumulating into zeros does
-    grad = 0.0 + np.concatenate([(w[1:, None] * lx[1:]).ravel(),
-                                 wH * spec.terminal_grad(xs[spec.H], phi),
-                                 (w[:, None] * lu).ravel()])
+    grad = 0.0 + np.concatenate((w[1:, None] * lx[1:], wH * spec.terminal_grad(xH, phi),
+                                 w[:, None] * lu), None)
     f, fx, fu = spec.dynamics_jac(X, us, phi)
     c = (xs[1:] - f).ravel()
     if spec.n_ineq:
@@ -152,39 +184,69 @@ def _jacobians(st: _Stacker, jac):
     fx, fu, hx, hu = jac
     C = np.zeros((st.n_dyn, st.nz))
     C.flat[:: st.nz + 1] = 1.0  # the identity on the state columns
-    C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
-    C[_blocks(st.x_idx, st.u_idx)] = -fu
+    C.put(st.c_fx, -fx[1:])
+    C.put(st.c_fu, -fu)
     Hj = np.zeros((st.n_in_rows, st.nz))
     if hx is not None:
-        Hj[_blocks(st.in_rows[1:], st.x_idx[:-1])] = hx[1:]
-        Hj[_blocks(st.in_rows, st.u_idx)] = hu
+        Hj.put(st.h_hx, hx[1:])
+        Hj.put(st.h_hu, hu)
     return C, Hj
 
 
 def _lagrangian_hessian(st: _Stacker, phi, z, s, lam):
     """Block Hessian of the Lagrangian; Gauss-Newton when dynamics supply no
-    second derivatives (exact for linear models)."""
+    second derivatives (exact for linear models).  While the bytes of the
+    callbacks' curvature blocks repeat, the plan's last HL is returned again;
+    it is read-only."""
     spec = st.spec
     n = spec.n
     w, wH = spec.stage_weights()
     xs = st.states(z, s)
     us = st.inputs(z)
-    lxx, lxu, luu = spec.stage_hess(xs[:-1], us, phi)
+    blocks = tuple(spec.stage_hess(xs[:-1], us, phi))
+    if spec.dynamics_hess_vp is not None:
+        blocks += (spec.dynamics_hess_vp(xs[:-1], us, phi, lam.reshape(spec.H, n)),)
+    blocks += (spec.terminal_hess(xs[spec.H], phi),)
+    # The key must cover every input of HL that can differ between calls on
+    # one plan: these curvature blocks.  The stage weights are fixed per spec
+    # and the block positions per plan; an input added to HL joins the key.
+    key = b"".join([b.tobytes() for b in blocks])
+    last, HL = st.last_hess
+    if last == key:
+        return HL
+    lxx, lxu, luu = blocks[:3]
     # the (x_k, u_k) block of every stage
     K = np.empty((spec.H, n + spec.m, n + spec.m))
     K[:, :n, :n], K[:, :n, n:], K[:, n:, :n], K[:, n:, n:] = lxx, lxu, np.swapaxes(lxu, -1, -2), luu
     K *= w[:, None, None]
     if spec.dynamics_hess_vp is not None:
         # constraint is x_{k+1} - f, so f-curvature enters with a minus
-        K -= spec.dynamics_hess_vp(xs[:-1], us, phi, lam.reshape(spec.H, n))
-    # (x_k, u_k) of the stages k >= 1; stage 0 has u_0 alone, x_0 = s being
-    # data, and x_H the terminal block: no two blocks overlap
-    xu = np.hstack([st.x_idx[:-1], st.u_idx[1:]])
+        K -= blocks[3]
     HL = np.zeros((st.nz, st.nz))
-    HL[_blocks(xu, xu)] = K[1:]
-    HL[_blocks(st.u_idx[:1], st.u_idx[:1])] = K[:1, n:, n:]
-    HL[_blocks(st.x_idx[-1:], st.x_idx[-1:])] = wH * spec.terminal_hess(xs[spec.H], phi)
+    HL.put(st.hl_stage, K[1:])
+    HL.put(st.hl_u0, K[0, n:, n:])
+    HL.put(st.hl_term, wH * blocks[-1])
+    HL.flags.writeable = False
+    st.last_hess = (key, HL)
     return HL
+
+
+def _linearize(st: _Stacker, jac):
+    """(C, Hj, Z): the Jacobians of the dynamics and inequality rows from the
+    stage blocks jac, and the null-space basis Z of C.  While the blocks'
+    bytes repeat, the plan's last triple is returned again; its arrays are
+    read-only."""
+    # C, Hj and Z depend on the plan and these blocks alone, so the blocks'
+    # bytes are the whole key; an input added to them joins it
+    key = b"".join([b.tobytes() for b in jac if b is not None])
+    last, lin = st.last_lin
+    if last != key:
+        C, Hj = _jacobians(st, jac)
+        lin = (C, Hj, _null_space(st, C))
+        for a in lin:
+            a.flags.writeable = False
+        st.last_lin = (key, lin)
+    return lin
 
 
 def _forward(Cx, b, trans=0):
@@ -206,12 +268,12 @@ def _null_space(st: _Stacker, C):
     return Z
 
 
-def _condense(st: _Stacker, C, c):
-    """Null-space basis Z of the dynamics rows C and a step p0 with C p0 = -c
-    that moves the states only."""
+def _state_step(st: _Stacker, C, c):
+    """A step p0 with C p0 = -c on the dynamics rows that moves the states
+    only; with the null-space basis Z of C it condenses the QP step."""
     p0 = np.zeros(st.nz)
     p0[: st.n_dyn] = _forward(C[:, : st.n_dyn], -c)
-    return _null_space(st, C), p0
+    return p0
 
 
 def _eq_multipliers(st: _Stacker, C, r):
@@ -242,6 +304,20 @@ def _regularize(HL, Z):
     raise DivergenceError("Hessian regularization failed to reach positive definiteness")
 
 
+def _regularized(st: _Stacker, HL, Z):
+    """_regularize(HL, Z) for the read-only HL and Z of the plan's last
+    _lagrangian_hessian and _linearize, returned again (read-only) while
+    both are the same arrays."""
+    # _regularize reads HL and Z alone, and read-only arrays kept alive by
+    # this key cannot change or be replaced by new ones at the same address
+    last_HL, last_Z, out = st.last_reg
+    if last_HL is not HL or last_Z is not Z:
+        out = _regularize(HL, Z)
+        out[0].flags.writeable = out[1].flags.writeable = False
+        st.last_reg = (HL, Z, out)
+    return out
+
+
 def _merit(F, c, h, rho):
     viol = np.abs(c).sum() + np.maximum(h, 0.0).sum()
     return F + rho * viol, viol
@@ -264,22 +340,20 @@ def _initial_iterate(st: _Stacker, phi, s, pinned_a):
     blow-up."""
     spec = st.spec
     z = np.zeros(st.nz)
+    X, U = z[: st.n_dyn].reshape(spec.H, spec.n), st.inputs(z)
     x = s
-    ok = True
     u_hold = np.zeros(spec.m) if spec.u_init is None else np.asarray(spec.u_init, dtype=float)
     for k in range(spec.H):
         u = pinned_a if (k == 0 and pinned_a is not None) else u_hold
-        z[st.u_idx[k]] = u
+        U[k] = u
         x = np.asarray(spec.dynamics_jac(x, u, phi)[0], dtype=float)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
-            ok = False
+        if not np.abs(x).max() <= 1e12:  # NaN fails the test too
+            X[:] = 0.0
+            U[:] = u_hold
+            if pinned_a is not None:
+                U[0] = pinned_a
             break
-        z[st.x_idx[k]] = x
-    if not ok:
-        z = np.zeros(st.nz)
-        z[st.u_idx] = u_hold
-        if pinned_a is not None:
-            z[st.u_idx[0]] = pinned_a
+        X[k] = x
     return z
 
 
@@ -302,7 +376,7 @@ def solve_ocp(
     On every other status ("max_iter", "stalled", or "diverged" from a QP
     that fails) the best iterate found is returned with its residual.
     """
-    cfg = settings or SolverSettings()
+    cfg = settings or _DEFAULT_SETTINGS
     s = np.array(s, dtype=float)  # copies, which the KKT points keep
     if s.shape != (spec.n,):
         raise ValueError(f"s shape {s.shape}, expected ({spec.n},)")
@@ -310,13 +384,13 @@ def solve_ocp(
         pinned_a = np.array(pinned_a, dtype=float)
         if pinned_a.shape != (spec.m,):
             raise ValueError(f"pinned_a shape {pinned_a.shape}, expected ({spec.m},)")
-    st = _Stacker(spec, pinned_a is not None)
+    st = _plan(spec, pinned_a is not None)
 
     if warm_start is not None and warm_start.z.size == st.nz:
         z = warm_start.z
         if pinned_a is not None:
             z = z.copy()
-            z[st.u_idx[0]] = pinned_a
+            z[st.n_dyn : st.free] = pinned_a
         lam = warm_start.lam if warm_start.lam.size == st.n_dyn else np.zeros(st.n_dyn)
         mu = warm_start.mu if warm_start.mu.size == st.n_in_rows else np.zeros(st.n_in_rows)
         active = warm_start.active_set
@@ -331,13 +405,15 @@ def solve_ocp(
     ev = None  # the evaluation of z, once the line search makes it
 
     for it in range(cfg.max_sqp_iters + 1):
-        if not np.isfinite(z).all():
+        if ev is None:  # the first iterate, checked before it is evaluated
+            if not np.isfinite(z).all():
+                return None, SolveReport("diverged", it, np.inf)
+            ev = _evaluate(st, phi, z, s)
+        F, grad, c, h, jac = ev
+        blocks = [b for b in jac if b is not None]
+        if not (math.isfinite(F) and np.isfinite(np.concatenate((z, grad, c, h, *blocks), None)).all()):
             return None, SolveReport("diverged", it, np.inf)
-        F, grad, c, h, jac = _evaluate(st, phi, z, s) if ev is None else ev
-        finite = (np.isfinite(a).all() for a in (grad, c, h, *jac) if a is not None)
-        if not (np.isfinite(F) and all(finite)):
-            return None, SolveReport("diverged", it, np.inf)
-        C, Hj = _jacobians(st, jac)
+        C, Hj, Z = _linearize(st, jac)
         resid = _kkt_residual(st, grad, c, h, C, Hj, lam, mu)
         # iterates are rebound, never changed in place, so points share them
         point = KKTPoint(z, lam, mu, h, active, F, resid, s, pinned_a, jac)
@@ -348,8 +424,8 @@ def solve_ocp(
         if it == cfg.max_sqp_iters:
             break
 
-        Z, p0 = _condense(st, C, c)
-        HL, Hz, _sigma = _regularize(_lagrangian_hessian(st, phi, z, s, lam), Z)
+        p0 = _state_step(st, C, c)
+        HL, Hz, _sigma = _regularized(st, _lagrangian_hessian(st, phi, z, s, lam), Z)
         qp = qp_solve(
             Hz,
             Z.T @ (grad + HL @ p0),
@@ -380,7 +456,7 @@ def solve_ocp(
             z_try = z + alpha * p
             ev = _evaluate(st, phi, z_try, s)
             F_try, _, c_try, h_try, _ = ev
-            if np.isfinite(F_try):
+            if math.isfinite(F_try):
                 m_try, _ = _merit(F_try, c_try, h_try, rho)
                 if m_try <= m0 + ARMIJO_C1 * alpha * D + slack:
                     break
@@ -427,7 +503,7 @@ def mpc_policy(
     starting and sensitivity analysis.
     """
     kkt, report = solve_ocp(spec, phi, s, None, warm_start, settings)
-    _require_converged(report, settings or SolverSettings())
+    _require_converged(report, settings or _DEFAULT_SETTINGS)
     return kkt.z[spec.H * spec.n :][: spec.m].copy(), kkt  # u_0 follows the H states
 
 
@@ -441,7 +517,7 @@ def mpc_qvalue(
 ) -> tuple[float, KKTPoint]:
     """Optimal cost with (x_0, u_0) pinned to (s, a) — the Q-value in cost sign."""
     kkt, report = solve_ocp(spec, phi, s, a, warm_start, settings)
-    _require_converged(report, settings or SolverSettings())
+    _require_converged(report, settings or _DEFAULT_SETTINGS)
     return kkt.objective, kkt
 
 

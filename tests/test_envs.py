@@ -423,19 +423,32 @@ def test_stacked_lq_steps_equal_one_state_steps_bit_for_bit():
     cfg = LQEnvConfig(A=[[0.9, 0.3], [-0.2, 0.8]], B=[[0.1], [1.0]],
                       Qc=[[1.0, 0.2], [0.2, 0.7]], Rc=[[2.0]], noise_std=[0.1, 0.3],
                       x0_lo=[-1.0, -2.0], x0_hi=[1.0, 2.0])
-    env, B = LQEnv(cfg), 9
+    env, B = LQEnv(cfg), 200
     S0 = env.reset([np.random.default_rng(i) for i in range(B)])
     assert S0.shape == (B, 2)
     for i in range(B):
         np.testing.assert_array_equal(S0[i], env.reset(np.random.default_rng(i)))
-    A = np.random.default_rng(99).normal(size=(B, 1))
-    R, S1 = env.step(S0, A, [np.random.default_rng(10 + i) for i in range(B)])
-    assert R.shape == (B,) and S1.shape == (B, 2)
-    for i in range(B):
-        # the one-state form perfbench's lq_long_horizon steps with
-        r, s = env.step(S0[i], A[i], np.random.default_rng(10 + i))
-        assert R[i] == r
-        assert S1[i].tobytes() == s.tobytes()
+    def frozen_lq_step(s, a, rng):
+        # the one-state arithmetic of lq_step before it took stacks
+        r = -(float(s @ cfg.Qc @ s + a @ cfg.Rc @ a))
+        return r, cfg.A @ s + cfg.B @ a + cfg.noise_std * rng.standard_normal(s.size)
+
+    # two steps, each row's generator carrying its draws into the second
+    stacked = [np.random.default_rng(10 + i) for i in range(B)]
+    lone = [np.random.default_rng(10 + i) for i in range(B)]
+    frozen = [np.random.default_rng(10 + i) for i in range(B)]
+    actions = np.random.default_rng(99).normal(scale=3.0, size=(2, B, 1))
+    S = S0
+    for A in actions:
+        R, S1 = env.step(S, A, stacked)
+        assert R.shape == (B,) and S1.shape == (B, 2)
+        for i in range(B):
+            r_ref, s_ref = frozen_lq_step(S[i], A[i], frozen[i])
+            # the one-state form perfbench's lq_long_horizon steps with
+            r, s = env.step(S[i], A[i], lone[i])
+            assert R[i] == r == r_ref
+            assert S1[i].tobytes() == s.tobytes() == s_ref.tobytes()
+        S = S1
 
 
 def test_stacked_cstr_steps_equal_one_state_steps_bit_for_bit(caplog):

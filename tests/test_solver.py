@@ -536,6 +536,175 @@ def test_sqp_runs_no_rank_revealing_factorization(case, lq2, cstr_cfg, monkeypat
 
 
 # ---------------------------------------------------------------------------
+# the per-spec structure plan
+
+
+def _blocks(rows, cols):
+    return rows[:, :, None], cols[:, None, :]
+
+
+def _frozen_jacobians(st, jac):
+    """C and Hj as the solver assembled them before the plan: one 3-D
+    fancy-index scatter per block set."""
+    fx, fu, hx, hu = jac
+    C = np.zeros((st.n_dyn, st.nz))
+    C.flat[:: st.nz + 1] = 1.0
+    C[_blocks(st.x_idx[1:], st.x_idx[:-1])] = -fx[1:]
+    C[_blocks(st.x_idx, st.u_idx)] = -fu
+    Hj = np.zeros((st.n_in_rows, st.nz))
+    if hx is not None:
+        Hj[_blocks(st.in_rows[1:], st.x_idx[:-1])] = hx[1:]
+        Hj[_blocks(st.in_rows, st.u_idx)] = hu
+    return C, Hj
+
+
+def _frozen_lagrangian_hessian(st, phi, z, s, lam):
+    """HL as the solver assembled it before the plan."""
+    spec = st.spec
+    n = spec.n
+    w, wH = spec.stage_weights()
+    xs = st.states(z, s)
+    us = st.inputs(z)
+    lxx, lxu, luu = spec.stage_hess(xs[:-1], us, phi)
+    K = np.empty((spec.H, n + spec.m, n + spec.m))
+    K[:, :n, :n], K[:, :n, n:], K[:, n:, :n], K[:, n:, n:] = lxx, lxu, np.swapaxes(lxu, -1, -2), luu
+    K *= w[:, None, None]
+    if spec.dynamics_hess_vp is not None:
+        K -= spec.dynamics_hess_vp(xs[:-1], us, phi, lam[st.x_idx])
+    xu = np.hstack([st.x_idx[:-1], st.u_idx[1:]])
+    HL = np.zeros((st.nz, st.nz))
+    HL[_blocks(xu, xu)] = K[1:]
+    HL[_blocks(st.u_idx[:1], st.u_idx[:1])] = K[:1, n:, n:]
+    HL[_blocks(st.x_idx[-1:], st.x_idx[-1:])] = wH * spec.terminal_hess(xs[spec.H], phi)
+    return HL
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("H", [1, 5, 50])
+@pytest.mark.parametrize("case", ["lq", "lq_box", "cstr"])
+def test_plan_scatters_equal_block_assembly_bit_for_bit(case, H, pinned, lq2, cstr_cfg):
+    A, B, Qc, Rc, gamma, P, _ = lq2
+    rng = np.random.default_rng(H)
+    if case == "cstr":
+        spec, phi = build_cstr_ocp(cstr_cfg, H=H, gamma=0.98,
+                                   terminal_weights=rng.normal(size=15))
+        s = rng.uniform(cstr_cfg.state_lo, cstr_cfg.state_hi)
+        X = rng.uniform(cstr_cfg.state_lo, cstr_cfg.state_hi, size=(H, 4))
+        U = rng.uniform(cstr_cfg.input_lo, cstr_cfg.input_hi, size=(H, 2))
+        z = np.concatenate([X.ravel(), U.ravel()])
+    else:
+        box = dict(u_lo=-1.0, u_hi=1.0) if case == "lq_box" else {}
+        spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=H, gamma=gamma, **box)
+        s, z = rng.normal(size=2), rng.normal(size=3 * H)
+    assert (spec.n_ineq > 0) == (case != "lq")
+    st = solver._plan(spec, pinned)
+    assert st.free == st.n_dyn + (spec.m if pinned else 0)
+    lam = rng.normal(size=st.n_dyn)
+    jac = solver._evaluate(st, phi, z, s)[4]
+    for got, want in zip(solver._jacobians(st, jac), _frozen_jacobians(st, jac)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    HL = solver._lagrangian_hessian(st, phi, z, s, lam)
+    assert HL.tobytes() == _frozen_lagrangian_hessian(st, phi, z, s, lam).tobytes()
+
+
+def test_plan_reuses_repeated_structure_read_only(lq2, cstr_cfg):
+    # a linear model repeats its stage Jacobians and a quadratic cost its
+    # Lagrangian Hessian at every point: the plan hands back the same
+    # read-only arrays, and assembles new ones when their inputs change
+    A, B, Qc, Rc, gamma, P, _ = lq2
+    spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=5, gamma=gamma, u_lo=-1.0, u_hi=1.0)
+    st = solver._plan(spec, False)
+    rng = np.random.default_rng(5)
+    z1, z2, s, lam = rng.normal(size=15), rng.normal(size=15), rng.normal(size=2), rng.normal(size=10)
+    lin = solver._linearize(st, solver._evaluate(st, phi, z1, s)[4])
+    assert solver._linearize(st, solver._evaluate(st, phi, z2, s)[4]) is lin
+    HL = solver._lagrangian_hessian(st, phi, z1, s, lam)
+    assert solver._lagrangian_hessian(st, phi, z2, s, -lam) is HL
+    reg = solver._regularized(st, HL, lin[2])
+    assert solver._regularized(st, HL, lin[2]) is reg
+    for a in (*lin, HL, *reg[:2]):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        lin[0][0, 0] = 1.0
+
+    # new model or cost parameters: new arrays, equal to a fresh assembly
+    jac = solver._evaluate(st, phi.replace("B", 1.1 * B), z1, s)[4]  # fu alone moves
+    C, Hj, Z = solver._linearize(st, jac)
+    assert C is not lin[0]
+    C_ref, Hj_ref = _frozen_jacobians(st, jac)
+    assert C.tobytes() == C_ref.tobytes() and Hj.tobytes() == Hj_ref.tobytes()
+    assert Z.tobytes() == solver._null_space(st, C_ref).tobytes()
+    phi_q = phi.replace("Q", 2.0 * Qc)
+    HL_q = solver._lagrangian_hessian(st, phi_q, z1, s, lam)
+    assert HL_q is not HL
+    assert HL_q.tobytes() == _frozen_lagrangian_hessian(st, phi_q, z1, s, lam).tobytes()
+    assert solver._regularized(st, HL_q, Z) is not reg
+
+    # a nonlinear model moves its Jacobians with the point
+    spec, phi = build_cstr_ocp(cstr_cfg, H=5, gamma=0.98, terminal_weights=np.zeros(15))
+    st = solver._plan(spec, False)
+    s = np.array([0.8, 0.4, 130.0, 130.0])
+    X = rng.uniform(cstr_cfg.state_lo, cstr_cfg.state_hi, size=(2, 5, 4))
+    U = rng.uniform(cstr_cfg.input_lo, cstr_cfg.input_hi, size=(2, 5, 2))
+    lins = [solver._linearize(st, solver._evaluate(st, phi, np.concatenate([x.ravel(), u.ravel()]), s)[4])
+            for x, u in zip(X, U)]
+    assert lins[0][0] is not lins[1][0] and not np.array_equal(lins[0][0], lins[1][0])
+
+
+def test_one_plan_per_spec_and_pin(lq2, monkeypatch):
+    A, B, Qc, Rc, gamma, P, _ = lq2
+    spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=5, gamma=gamma)
+    built = Counter()
+    stacker = solver._Stacker
+
+    def counted(spec, pinned):
+        built[pinned] += 1
+        return stacker(spec, pinned)
+
+    monkeypatch.setattr(solver, "_Stacker", counted)
+    rng = np.random.default_rng(4)
+    controller = MPCController(spec, phi)
+    for _ in range(10):
+        controller(rng.normal(size=2))
+    jac_policy_wrt_params(spec, phi, controller._warm)
+    assert built == {False: 1}
+    for _ in range(10):
+        _, kkt = mpc_qvalue(spec, phi, rng.normal(size=2), rng.normal(size=1))
+    grad_q_wrt_params(spec, phi, kkt)
+    assert built == {False: 1, True: 1}
+
+
+def test_replaced_spec_gets_its_own_plan(lq2):
+    # the benchmark tracer's builder wrapper replaces every callback of a
+    # built spec this way; the copy's solves must call the copy's callbacks
+    A, B, Qc, Rc, gamma, P, _ = lq2
+    spec, phi = build_lq_ocp(A, B, Qc, Rc, P, H=5, gamma=gamma)
+    s = np.array([1.0, -0.5])
+    a, kkt = mpc_policy(spec, phi, s)
+    jac = jac_policy_wrt_params(spec, phi, kkt).jac_action
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    traced = dataclasses.replace(spec, **{
+        f.name: counted(f.name, getattr(spec, f.name))
+        for f in dataclasses.fields(spec) if callable(getattr(spec, f.name))
+    })
+    a_t, kkt_t = mpc_policy(traced, phi, s)
+    jac_t = jac_policy_wrt_params(traced, phi, kkt_t).jac_action
+    plan = solver._plan(traced, False)
+    assert plan is not solver._plan(spec, False) and plan.spec is traced
+    assert a_t.tobytes() == a.tobytes() and jac_t.tobytes() == jac.tobytes()
+    for name in ("stage_cost", "dynamics_jac", "stage_hess", "stage_grad_phi_vp",
+                 "dynamics_jac_phi_vp", "dynamics_phi_vp", "terminal_grad_phi_vp"):
+        assert calls[name] > 0, name
+
+
+# ---------------------------------------------------------------------------
 # settings: a solver mapping becomes SolverSettings through the config reader
 
 

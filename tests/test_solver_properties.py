@@ -1,16 +1,20 @@
-"""Property tests of solve_ocp on random box-bounded LQ problems, against a
-condensed QP built and solved here by enumerating the bound pattern."""
+"""Property tests of solve_ocp on random box-bounded LQ problems: against a
+condensed QP built and solved here by enumerating the bound pattern, on state
+boxes the first step cannot reach, and on a bound at the unconstrained u_0."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmpc.ocp import build_lq_ocp
-from qmpc.solver import solve_ocp
+from qmpc.errors import InfeasibleError
+from qmpc.ocp import _tile, build_lq_ocp
+from qmpc.sensitivity import jac_policy_wrt_params
+from qmpc.solver import mpc_policy, solve_ocp
 
 # quarter-integer entries in [-1, 1]: ties and zero blocks are common, and
 # states stay small over the horizon
@@ -110,3 +114,81 @@ def test_solve_ocp_matches_condensed_box_qp(problem):
     assert np.all(kkt.mu >= 0.0)
     off = np.setdiff1d(np.arange(kkt.mu.size), kkt.active_set)
     assert np.all(kkt.mu[off] == 0.0)
+
+
+@st.composite
+def unreachable_state_box(draw):
+    """A two-state, one-input LQ problem, H in 2..4, whose state box asks
+    x_1[0] >= x_lo while every input of the box leaves x_1[0] at least
+    ``gap`` below it; s itself lies inside the box."""
+    H = draw(st.integers(2, 4))
+    A = draw(arrays(float, (2, 2), elements=GRID))
+    A[0, 0] = draw(st.integers(-4, 3).map(lambda v: v / 4.0))  # a00 < 1
+    B = draw(arrays(float, (2, 1), elements=GRID))
+    lo = draw(GRID)
+    hi = lo + draw(st.sampled_from([0.25, 1.0, 4.0]))
+    s1 = 4.0 * draw(GRID)
+    gap = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    slack = draw(st.sampled_from([0.25, 1.0]))
+    # x_1[0] = a00 s0 + a01 s1 + b0 u is at most a00 s0 + rest over the box
+    rest = A[0, 1] * s1 + max(B[0, 0] * lo, B[0, 0] * hi)
+    s0 = (rest + gap) / (1.0 - A[0, 0]) + slack  # so s0 >= x_lo
+    x_lo = A[0, 0] * s0 + rest + gap
+    return A, B, H, np.array([s0, s1]), lo, hi, x_lo
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(unreachable_state_box())
+def test_unreachable_state_box_raises_infeasible(problem):
+    A, B, H, s, lo, hi, x_lo = problem
+    base, phi = build_lq_ocp(A, B, np.eye(2), np.eye(1), np.eye(2), H, 0.9)
+    # rows per stage: u - hi <= 0, lo - u <= 0, x_lo - x[0] <= 0
+    hx = np.array([[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    hu = np.array([[1.0], [-1.0], [0.0]])
+
+    def ineq_constraints(x, u, pv):
+        return np.concatenate([u - hi, lo - u, x_lo - x[..., :1]], axis=-1)
+
+    def ineq_jac(x, u, pv):
+        return _tile(x.shape[:-1], hx, hu)
+
+    spec = dataclasses.replace(base, n_ineq=3, ineq_constraints=ineq_constraints,
+                               ineq_jac=ineq_jac)
+    assert x_lo <= s[0]
+    _, report = solve_ocp(spec, phi, s)
+    assert report.status == "infeasible"
+    with pytest.raises(InfeasibleError):
+        mpc_policy(spec, phi, s)
+
+
+@st.composite
+def bound_at_unconstrained_u0(draw):
+    """A boxed two-state, one-input LQ problem, H in 1..4, whose unconstrained
+    optimal plan lies in the box and has u_0 on one of its bounds."""
+    H = draw(st.integers(1, 4))
+    A = draw(arrays(float, (2, 2), elements=GRID))
+    B = draw(arrays(float, (2, 1), elements=GRID))
+    assume(np.any(B != 0.0))
+    M = draw(arrays(float, (2, 2), elements=GRID))
+    Qc = M.T @ M + 0.1 * np.eye(2)
+    Rc = np.array([[draw(st.sampled_from([0.1, 1.0, 10.0]))]])
+    gamma = draw(st.sampled_from([0.5, 0.9]))
+    s = 4.0 * draw(arrays(float, 2, elements=GRID))
+    G, g, *_ = condensed(A, B, Qc, Rc, Qc, H, gamma, True, s)
+    U = np.linalg.solve(G, -g)
+    width = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    if U[0] == U.max():
+        lo, hi = U.min() - width, U[0]
+    else:
+        assume(U[0] == U.min())
+        lo, hi = U[0], U.max() + width
+    return A, B, Qc, Rc, H, gamma, s, lo, hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(bound_at_unconstrained_u0())
+def test_bound_at_unconstrained_u0_is_degenerate(problem):
+    A, B, Qc, Rc, H, gamma, s, lo, hi = problem
+    spec, phi = build_lq_ocp(A, B, Qc, Rc, Qc, H, gamma, u_lo=lo, u_hi=hi)
+    _, kkt = mpc_policy(spec, phi, s)
+    assert jac_policy_wrt_params(spec, phi, kkt).regularity == "degenerate"
